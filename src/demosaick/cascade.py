@@ -50,7 +50,6 @@ class Trajectory:
     """Per-step intermediates kept for backpropagation through time."""
 
     states: list        # x^(0) ... x^(K+1), length K + 2
-    extrapolated: list  # u of each step, length K
     caches: list        # denoiser caches, length K
     observation: MosaicObservation
 
@@ -76,16 +75,15 @@ def demosaick_forward(y: MosaicObservation, params: CascadeParams):
     x_prev = np.zeros_like(y.data)
     x_cur = y.data.copy()
     states = [x_prev, x_cur]
-    extrapolated, caches = [], []
+    caches = []
     for i in range(params.steps):
         u = x_cur + params.w[i] * (x_cur - x_prev)
         z = data_consistency(u, y)
         x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
-        extrapolated.append(u)
         caches.append(cache)
         states.append(x_next)
         x_prev, x_cur = x_cur, x_next
-    traj = Trajectory(states=states, extrapolated=extrapolated, caches=caches, observation=y)
+    traj = Trajectory(states=states, caches=caches, observation=y)
     return x_cur, traj
 
 

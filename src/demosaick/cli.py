@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gc
-from .cascade import CascadeParams, demosaick_forward, init_schedule
+from .cascade import CascadeParams, demosaick_forward
 from .cfa import PATTERN_NAMES, MosaicObservation, bilinear_demosaick, make_pattern, mosaic
 from .config import parse_config_file
 from .metrics import linrgb_to_srgb, psnr
@@ -27,17 +27,20 @@ from .training import TrainConfig, load_dataset, pretrain_denoiser, train_joint
 PAPER_PARAM_TOTAL = 380_356
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pattern", choices=PATTERN_NAMES, default="bayer_rggb")
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--noise-kind", choices=["iid_gaussian", "heteroscedastic"],
-                   default="iid_gaussian")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", type=str, default="")
-    p.add_argument("--config", type=str, default="")
-    p.add_argument("--out", type=str, default="")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--precision", choices=["f32", "f64"], default="f64")
+# flags shared by several subcommands; each subcommand adds only those it reads
+_FLAGS = {
+    "--pattern": dict(choices=PATTERN_NAMES, default="bayer_rggb"),
+    "--sigma": dict(type=float, default=0.0),
+    "--seed": dict(type=int, default=0),
+    "--model": dict(type=str, default=""),
+    "--config": dict(type=str, default=""),
+    "--out": dict(type=str, default=""),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,51 +49,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mosaic", help="sample a clean image through a CFA, optionally adding noise")
     p.add_argument("input")
+    p.add_argument("--noise-kind", choices=["iid_gaussian", "heteroscedastic"],
+                   default="iid_gaussian")
     p.add_argument("--a-shot", type=float, default=0.0)
     p.add_argument("--b-read", type=float, default=0.0)
-    _add_common(p)
+    _add_flags(p, "--pattern", "--sigma", "--seed", "--config", "--out")
     p.set_defaults(func=cmd_mosaic)
 
     p = sub.add_parser("demosaick", help="reconstruct an observation with a trained cascade")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p, "--pattern", "--model", "--out")
     p.set_defaults(func=cmd_demosaick)
 
     p = sub.add_parser("bilinear", help="bilinear baseline reconstruction")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p, "--pattern", "--out")
     p.set_defaults(func=cmd_bilinear)
 
     p = sub.add_parser("denoise", help="run the residual denoiser at a given noise level")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p, "--sigma", "--model", "--out")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("pretrain", help="pretrain the denoiser (config-driven)")
     p.add_argument("--data", required=True)
-    _add_common(p)
+    _add_flags(p, "--config", "--out")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="joint end-to-end cascade training (config-driven)")
     p.add_argument("--data", required=True)
-    _add_common(p)
+    _add_flags(p, "--config", "--model", "--out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a directory of (truth, observation) pairs")
     p.add_argument("directory")
     p.add_argument("--method", choices=["model", "bilinear"], default="model")
-    _add_common(p)
+    p.add_argument("--threads", type=int, default=1)
+    _add_flags(p, "--pattern", "--model", "--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all adjoints")
-    _add_common(p)
+    _add_flags(p, "--seed")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", help="trainable parameter count breakdown")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--filters", type=int, default=64)
     p.add_argument("--steps", type=int, default=10)
-    _add_common(p)
     p.set_defaults(func=cmd_params)
     return parser
 
@@ -106,8 +111,8 @@ def _noise_spec(args) -> NoiseSpec:
     return NoiseSpec(
         kind=values.get("noise.kind", args.noise_kind),
         sigma=float(values.get("noise.sigma", args.sigma)),
-        a_shot=float(values.get("noise.a_shot", getattr(args, "a_shot", 0.0))),
-        b_read=float(values.get("noise.b_read", getattr(args, "b_read", 0.0))),
+        a_shot=float(values.get("noise.a_shot", args.a_shot)),
+        b_read=float(values.get("noise.b_read", args.b_read)),
         seed=int(values.get("noise.seed", args.seed)),
     )
 
@@ -117,16 +122,9 @@ def _load_cascade(args) -> CascadeParams:
         raise ValueError("--model is required")
     params = load_model(args.model)
     if isinstance(params, ResDNetParams):
-        w, sigmas = init_schedule(10, 15.0, 1.0)
-        params = CascadeParams(denoiser=params, w=w, sigmas=sigmas)
+        raise ValueError(f"{args.model} is a denoiser checkpoint without a cascade schedule; "
+                         "train a cascade from it with `demosaick train`")
     return params
-
-
-def _cast(params: CascadeParams, precision: str) -> CascadeParams:
-    if precision == "f64":
-        return params
-    flat = {k: v.astype(np.float32).astype(np.float64) for k, v in params.flatten().items()}
-    return CascadeParams.from_flat(flat, params.denoiser.depth)
 
 
 def cmd_mosaic(args) -> int:
@@ -143,16 +141,16 @@ def cmd_mosaic(args) -> int:
     return 0
 
 
-def _read_observation(path, pattern_name: str, sigma: float) -> MosaicObservation:
+def _read_observation(path, pattern_name: str) -> MosaicObservation:
     data = read_image(path)
     pattern = make_pattern(pattern_name)
     mask = pattern.mask(data.shape[0], data.shape[1])
-    return MosaicObservation(data=data * mask, pattern=pattern, sigma=sigma)
+    return MosaicObservation(data=data * mask, pattern=pattern)
 
 
 def cmd_demosaick(args) -> int:
-    obs = _read_observation(args.input, args.pattern, args.sigma)
-    params = _cast(_load_cascade(args), args.precision)
+    obs = _read_observation(args.input, args.pattern)
+    params = _load_cascade(args)
     est, _ = demosaick_forward(obs, params)
     _check_finite(est, "estimate")
     out = args.out or "demosaicked.ppm"
@@ -162,7 +160,7 @@ def cmd_demosaick(args) -> int:
 
 
 def cmd_bilinear(args) -> int:
-    obs = _read_observation(args.input, args.pattern, args.sigma)
+    obs = _read_observation(args.input, args.pattern)
     est = bilinear_demosaick(obs)
     _check_finite(est, "estimate")
     out = args.out or "bilinear.ppm"
@@ -193,7 +191,6 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_pretrain(args) -> int:
     cfg = _train_config(args)
-    cfg.phase = "pretrain"
     images = load_dataset(args.data)
     params, _ = pretrain_denoiser(images, cfg)
     out = args.out or "denoiser.rdnc"
@@ -204,7 +201,6 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
-    cfg.phase = "joint"
     images = load_dataset(args.data)
     if args.model:
         init = load_model(args.model)
@@ -240,12 +236,12 @@ def cmd_eval(args) -> int:
     pairs = _eval_pairs(directory)
     params = None
     if args.method == "model":
-        params = _cast(_load_cascade(args), args.precision)
+        params = _load_cascade(args)
 
     def run_one(item):
         base, truth_path, input_path = item
         truth = read_image(truth_path)
-        obs = _read_observation(input_path, args.pattern, args.sigma)
+        obs = _read_observation(input_path, args.pattern)
         start = time.perf_counter()
         if params is None:
             est = bilinear_demosaick(obs)

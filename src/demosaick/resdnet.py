@@ -171,8 +171,6 @@ class DenoiseCache:
 
     x: np.ndarray
     sigma: float
-    head_out: np.ndarray
-    pair_inputs: list      # input to each residual pair (len D)
     block_pre: list        # input of each PReLU (len 2D)
     block_act: list        # output of each PReLU = conv input (len 2D)
     tail_in: np.ndarray
@@ -226,11 +224,9 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     h = conv2d(x, params.head.bank())
-    head_out = h
-    pair_inputs, block_pre, block_act = [], [], []
+    block_pre, block_act = [], []
     for pair in range(params.depth):
         p = h
-        pair_inputs.append(p)
         for j in (0, 1):
             blk = params.blocks[2 * pair + j]
             block_pre.append(h)
@@ -246,8 +242,6 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
     cache = DenoiseCache(
         x=x,
         sigma=sigma,
-        head_out=head_out,
-        pair_inputs=pair_inputs,
         block_pre=block_pre,
         block_act=block_act,
         tail_in=tail_in,

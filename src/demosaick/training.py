@@ -1,12 +1,17 @@
 """Two-phase training: denoiser pretraining on noisy patches, then joint
 end-to-end training of the full cascade with backpropagation through time.
 
+Both phases run the one loop ``_fit``: Adam with step-wise learning-rate
+decay over random patches, a CSV step log, optional checkpoints and
+best-of-epoch validation. A phase supplies only closures: how to build its
+model from the flat parameters, its validation inputs, one patch's loss and
+gradients, and one validation score.
+
 Everything runs single-threaded over flat {name: array} parameter dicts,
 so runs are reproducible bit-for-bit under a fixed seed.
 """
 from __future__ import annotations
 
-import copy
 import csv
 import warnings
 from dataclasses import dataclass, field, fields
@@ -21,13 +26,10 @@ from .modelfile import save_model
 from .resdnet import ResDNetParams, init_resdnet, resdnet_backward, resdnet_forward
 from .tensor_core import ShapeError
 
-PHASE_PRETRAIN = "pretrain"
-PHASE_JOINT = "joint"
-
 
 @dataclass
 class TrainConfig:
-    phase: str = PHASE_PRETRAIN
+    phase: str = "pretrain"           # not read: the function called sets the phase
     patch_size: int = 32
     batch_size: int = 4
     lr: float = 1e-2
@@ -194,62 +196,84 @@ def _decayed_lr(base: float, epoch: int, every: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# phase 1: denoiser pretraining
+# the training loop shared by both phases
 
 
-def pretrain_denoiser(images: list, cfg: TrainConfig):
-    """MSE pretraining over random noise levels in [sigma_lo, sigma_hi].
+def _fit(images: list, flat: dict, cfg: TrainConfig, unflatten, val_input, patch_loss,
+         evaluate, flips: bool = False):
+    """Adam over random training patches with per-epoch validation.
 
-    Returns (best-validation ResDNetParams, log rows)."""
+    ``unflatten(flat)`` builds the model from the flat parameters (and projects
+    them onto their constraints), ``val_input(clean, gen)`` makes the input of
+    one validation crop, ``patch_loss(model, patch, gen)`` returns one patch's
+    loss and flat gradients, and ``evaluate(model, clean, inp)`` one
+    validation PSNR. Returns (best-validation model, log rows)."""
     train, val = split_dataset(images)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     val_gen = np.random.Generator(np.random.Philox(key=cfg.seed + 1))
     val_clean = [center_crop(img, cfg.patch_size) for _, img in val]
-    val_sigma = cfg.sigma_hi
-    val_noisy = [p + val_sigma * val_gen.standard_normal(p.shape) for p in val_clean]
+    val_inputs = [val_input(clean, val_gen) for clean in val_clean]
 
-    params = init_resdnet(cfg.depth, cfg.seed, cfg.num_filters)
-    flat = params.flatten()
+    model = unflatten(flat)
     state = AdamState.for_params(flat)
     log = _TrainLog(cfg.log_path)
-    best = (None, -np.inf)
-
-    def validate(p: ResDNetParams) -> float:
-        vals = []
-        for clean, noisy in zip(val_clean, val_noisy):
-            den, _ = resdnet_forward(noisy, val_sigma, p)
-            vals.append(psnr(clean, den))
-        finite = [v for v in vals if np.isfinite(v)]
-        return float(np.mean(finite)) if finite else np.inf
+    best = (model, -np.inf)
 
     step = 0
     for epoch in range(cfg.epochs):
         lr = _decayed_lr(cfg.lr, epoch, cfg.lr_decay_every)
         for _ in range(cfg.steps_per_epoch):
-            patches = sample_patches(train, cfg.batch_size, cfg.patch_size, gen)
+            patches = sample_patches(train, cfg.batch_size, cfg.patch_size, gen, flips=flips)
+            flat = model.flatten()
             grads = {k: np.zeros_like(v) for k, v in flat.items()}
             total = 0.0
-            params = ResDNetParams.from_flat(flat, cfg.depth)
             for patch in patches:
-                sigma = float(gen.uniform(cfg.sigma_lo, cfg.sigma_hi))
-                noisy = patch + sigma * gen.standard_normal(patch.shape)
-                den, cache = resdnet_forward(noisy, sigma, params)
-                value, g = loss(den, patch, "mse")
+                value, pgrads = patch_loss(model, patch, gen)
                 total += value
-                _, pgrads, _ = resdnet_backward(g, cache, params)
                 for k in pgrads:
                     grads[k] += pgrads[k] / len(patches)
-            flat = adam_step(flat, grads, state, lr, cfg.weight_decay)
+            model = unflatten(adam_step(flat, grads, state, lr, cfg.weight_decay))
             step += 1
             log.add(step, lr, total / len(patches), np.nan)
-        cand = ResDNetParams.from_flat(flat, cfg.depth)
-        score = validate(cand)
+            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and cfg.checkpoint_path:
+                save_model(model, cfg.checkpoint_path)
+        vals = [evaluate(model, clean, inp) for clean, inp in zip(val_clean, val_inputs)]
+        finite = [v for v in vals if np.isfinite(v)]
+        score = float(np.mean(finite)) if finite else np.inf
         log.add(step, lr, log.rows[-1][2] if log.rows else np.nan, score)
         if score > best[1]:
-            best = (copy.deepcopy(cand), score)
+            best = (model, score)
     log.write()
-    final = best[0] if best[0] is not None else ResDNetParams.from_flat(flat, cfg.depth)
-    return final, log.rows
+    return best[0], log.rows
+
+
+# ---------------------------------------------------------------------------
+# phase 1: denoiser pretraining
+
+
+def pretrain_denoiser(images: list, cfg: TrainConfig):
+    """MSE pretraining over random noise levels in [sigma_lo, sigma_hi],
+    validated at sigma_hi.
+
+    Returns (best-validation ResDNetParams, log rows)."""
+
+    def val_input(clean, gen):
+        return clean + cfg.sigma_hi * gen.standard_normal(clean.shape)
+
+    def patch_loss(p: ResDNetParams, patch, gen):
+        sigma = float(gen.uniform(cfg.sigma_lo, cfg.sigma_hi))
+        noisy = patch + sigma * gen.standard_normal(patch.shape)
+        den, cache = resdnet_forward(noisy, sigma, p)
+        value, g = loss(den, patch, "mse")
+        return value, resdnet_backward(g, cache, p)[1]
+
+    def evaluate(p: ResDNetParams, clean, noisy) -> float:
+        return psnr(clean, resdnet_forward(noisy, cfg.sigma_hi, p)[0])
+
+    init = init_resdnet(cfg.depth, cfg.seed, cfg.num_filters)
+    return _fit(images, init.flatten(), cfg,
+                lambda flat: ResDNetParams.from_flat(flat, cfg.depth),
+                val_input, patch_loss, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -257,69 +281,34 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
 
 
 def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
-    """End-to-end L1 training of the cascade (denoiser + w + sigmas).
+    """End-to-end L1 training of the cascade (denoiser + w + sigmas) on
+    flipped patches mosaicked with cfg.pattern, with iid noise of
+    cfg.train_sigma.
 
     Returns (best-validation CascadeParams, log rows)."""
-    train, val = split_dataset(images)
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    val_gen = np.random.Generator(np.random.Philox(key=cfg.seed + 1))
     pattern = make_pattern(cfg.pattern)
 
-    val_clean = [center_crop(img, cfg.patch_size) for _, img in val]
-    val_obs = []
-    for p in val_clean:
-        noisy = p + cfg.train_sigma * val_gen.standard_normal(p.shape) if cfg.train_sigma > 0 else p
-        val_obs.append(mosaic(noisy, pattern, sigma=cfg.train_sigma))
+    def unflatten(flat) -> CascadeParams:
+        # projection radius degenerates at sigma = 0
+        sigmas = np.maximum(flat["cascade.sigmas"], 1e-3)
+        return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas}, cfg.depth)
+
+    def observe(clean, gen):
+        noisy = (
+            clean + cfg.train_sigma * gen.standard_normal(clean.shape)
+            if cfg.train_sigma > 0
+            else clean
+        )
+        return mosaic(noisy, pattern, sigma=cfg.train_sigma)
+
+    def patch_loss(cp: CascadeParams, patch, gen):
+        est, traj = demosaick_forward(observe(patch, gen), cp)
+        value, g = loss(est, patch, "l1")
+        return value, demosaick_backward(g, traj, cp)
+
+    def evaluate(cp: CascadeParams, clean, obs) -> float:
+        return psnr(clean, demosaick_forward(obs, cp)[0])
 
     w, sigmas = init_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
-    flat = copy.deepcopy(denoiser_init.flatten())
-    flat["cascade.w"] = w
-    flat["cascade.sigmas"] = sigmas
-    state = AdamState.for_params(flat)
-    log = _TrainLog(cfg.log_path)
-    best = (None, -np.inf)
-
-    def validate(cp: CascadeParams) -> float:
-        vals = []
-        for clean, obs in zip(val_clean, val_obs):
-            est, _ = demosaick_forward(obs, cp)
-            vals.append(psnr(clean, est))
-        finite = [v for v in vals if np.isfinite(v)]
-        return float(np.mean(finite)) if finite else np.inf
-
-    step = 0
-    for epoch in range(cfg.epochs):
-        lr = _decayed_lr(cfg.lr, epoch, cfg.lr_decay_every)
-        for _ in range(cfg.steps_per_epoch):
-            patches = sample_patches(train, cfg.batch_size, cfg.patch_size, gen, flips=True)
-            grads = {k: np.zeros_like(v) for k, v in flat.items()}
-            total = 0.0
-            cp = CascadeParams.from_flat(flat, cfg.depth)
-            for patch in patches:
-                noisy = (
-                    patch + cfg.train_sigma * gen.standard_normal(patch.shape)
-                    if cfg.train_sigma > 0
-                    else patch
-                )
-                obs = mosaic(noisy, pattern, sigma=cfg.train_sigma)
-                est, traj = demosaick_forward(obs, cp)
-                value, g = loss(est, patch, "l1")
-                total += value
-                pgrads = demosaick_backward(g, traj, cp)
-                for k in pgrads:
-                    grads[k] += pgrads[k] / len(patches)
-            flat = adam_step(flat, grads, state, lr, cfg.weight_decay)
-            # projection radius degenerates at sigma = 0
-            flat["cascade.sigmas"] = np.maximum(flat["cascade.sigmas"], 1e-3)
-            step += 1
-            log.add(step, lr, total / len(patches), np.nan)
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and cfg.checkpoint_path:
-                save_model(CascadeParams.from_flat(flat, cfg.depth), cfg.checkpoint_path)
-        cand = CascadeParams.from_flat(flat, cfg.depth)
-        score = validate(cand)
-        log.add(step, lr, log.rows[-1][2] if log.rows else np.nan, score)
-        if score > best[1]:
-            best = (copy.deepcopy(cand), score)
-    log.write()
-    final = best[0] if best[0] is not None else CascadeParams.from_flat(flat, cfg.depth)
-    return final, log.rows
+    flat = {**denoiser_init.flatten(), "cascade.w": w, "cascade.sigmas": sigmas}
+    return _fit(images, flat, cfg, unflatten, observe, patch_loss, evaluate, flips=True)

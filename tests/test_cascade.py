@@ -84,7 +84,6 @@ class TestForward:
         y = mosaic(rng(5).uniform(0, 255, size=(8, 8, 3)), make_pattern("bayer_rggb"))
         est, traj = demosaick_forward(y, cp)
         assert len(traj.states) == 5  # K + 2
-        assert len(traj.extrapolated) == 3
         assert len(traj.caches) == 3
         assert np.array_equal(traj.states[-1], est)
 

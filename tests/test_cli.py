@@ -32,6 +32,13 @@ def cascade_model(tmp_path):
     return path
 
 
+@pytest.fixture
+def denoiser_model(tmp_path):
+    path = tmp_path / "denoiser.rdnc"
+    save_model(init_resdnet(1, seed=2, num_filters=4), path)
+    return path
+
+
 class TestConfigFile:
     def test_parse_types_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -98,16 +105,16 @@ class TestReconstructionCommands:
         est = read_image(out)
         assert est.min() >= 0.0 and est.max() <= 255.0
 
-    def test_precision_flag(self, clean_ppm, cascade_model, tmp_path):
+    def test_denoiser_checkpoint_is_rejected(self, clean_ppm, denoiser_model, tmp_path, capsys):
         path, _ = clean_ppm
         obs = tmp_path / "obs.npy"
         main(["mosaic", str(path), "--out", str(obs)])
-        out64 = tmp_path / "est64.npy"
-        out32 = tmp_path / "est32.npy"
-        assert main(["demosaick", str(obs), "--model", str(cascade_model), "--out", str(out64)]) == 0
-        assert main(["demosaick", str(obs), "--model", str(cascade_model),
-                     "--out", str(out32), "--precision", "f32"]) == 0
-        assert read_image(out64).shape == read_image(out32).shape
+        assert main(["demosaick", str(obs), "--model", str(denoiser_model),
+                     "--out", str(tmp_path / "est.ppm")]) == 2
+        assert f"{denoiser_model} is a denoiser checkpoint" in capsys.readouterr().err
+        # the denoiser alone still runs from such a file
+        assert main(["denoise", str(path), "--model", str(denoiser_model), "--sigma", "5",
+                     "--out", str(tmp_path / "den.npy")]) == 0
 
     def test_denoise(self, clean_ppm, cascade_model, tmp_path):
         path, _ = clean_ppm
@@ -173,6 +180,11 @@ class TestEvalCommand:
 
     def test_model_method(self, eval_dir, cascade_model):
         assert main(["eval", str(eval_dir), "--model", str(cascade_model)]) == 0
+
+    def test_model_method_rejects_denoiser_checkpoint(self, eval_dir, denoiser_model, capsys):
+        assert main(["eval", str(eval_dir), "--method", "model",
+                     "--model", str(denoiser_model)]) == 2
+        assert f"{denoiser_model} is a denoiser checkpoint" in capsys.readouterr().err
 
     def test_empty_directory(self, tmp_path):
         d = tmp_path / "empty"
@@ -245,3 +257,13 @@ class TestMiscCommands:
 
     def test_missing_required_argument(self, capsys):
         assert main(["pretrain"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--pattern", "xtrans"],
+        ["pretrain", "--data", "images", "--seed", "3"],
+        ["params", "--threads", "2"],
+        ["demosaick", "obs.npy", "--model", "cascade.rdnc", "--sigma", "5"],
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from demosaick.cascade import init_schedule
 from demosaick.datagen import make_dataset
-from demosaick.resdnet import init_resdnet
+from demosaick.resdnet import ResDNetParams, init_resdnet
 from demosaick.tensor_core import ShapeError
 from demosaick.training import (
     AdamState,
@@ -179,6 +179,20 @@ class TestPretrain:
         b, _ = pretrain_denoiser(images, SMOKE)
         fa, fb = a.flatten(), b.flatten()
         assert all(np.array_equal(fa[k], fb[k]) for k in fa)
+
+    def test_checkpoint_written(self, tmp_path):
+        from demosaick.modelfile import load_model
+
+        images = make_dataset(6, seed=7, height=32, width=32)
+        cfg = TrainConfig(**{
+            **SMOKE.__dict__,
+            "checkpoint_every": 2,
+            "checkpoint_path": str(tmp_path / "ckpt.rdnc"),
+        })
+        pretrain_denoiser(images, cfg)
+        ckpt = load_model(tmp_path / "ckpt.rdnc")
+        assert isinstance(ckpt, ResDNetParams)
+        assert ckpt.depth == cfg.depth
 
 
 class TestJoint:
