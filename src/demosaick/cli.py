@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demosaick", help="reconstruct an observation with a trained cascade")
     p.add_argument("input")
-    _add_flags(p, "--pattern", "--model", "--out")
+    p.add_argument("--model", required=True)
+    _add_flags(p, "--pattern", "--out")
     p.set_defaults(func=cmd_demosaick)
 
     p = sub.add_parser("bilinear", help="bilinear baseline reconstruction")
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denoise", help="run the residual denoiser at a given noise level")
     p.add_argument("input")
-    _add_flags(p, "--sigma", "--model", "--out")
+    p.add_argument("--model", required=True)
+    _add_flags(p, "--sigma", "--out")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("pretrain", help="pretrain the denoiser (config-driven)")
@@ -118,8 +120,6 @@ def _noise_spec(args) -> NoiseSpec:
 
 
 def _load_cascade(args) -> CascadeParams:
-    if not args.model:
-        raise ValueError("--model is required")
     params = load_model(args.model)
     if isinstance(params, ResDNetParams):
         raise ValueError(f"{args.model} is a denoiser checkpoint without a cascade schedule; "
@@ -171,9 +171,7 @@ def cmd_bilinear(args) -> int:
 
 def cmd_denoise(args) -> int:
     image = read_image(args.input)
-    params = load_model(args.model) if args.model else None
-    if params is None:
-        raise ValueError("--model is required")
+    params = load_model(args.model)
     den = params.denoiser if isinstance(params, CascadeParams) else params
     est, _ = resdnet_forward(image, args.sigma, den)
     _check_finite(est, "estimate")
@@ -308,6 +306,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "eval" and args.method == "model" and not args.model:
+            parser.error("eval --method model requires --model")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

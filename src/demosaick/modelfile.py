@@ -90,6 +90,9 @@ def load_model(path):
         arrays[name] = data.astype(np.float64)
     if pos != len(raw):
         raise ModelFormatError("trailing bytes after last array", offset=pos)
-    if steps == 0:
-        return ResDNetParams.from_flat(arrays, depth)
-    return CascadeParams.from_flat(arrays, depth)
+    try:
+        if steps == 0:
+            return ResDNetParams.from_flat(arrays, depth)
+        return CascadeParams.from_flat(arrays, depth)
+    except KeyError as exc:
+        raise ModelFormatError(f"no array {exc.args[0]!r} for depth {depth}") from exc

@@ -45,6 +45,8 @@ def _parse_pnm(raw: bytes, path) -> np.ndarray:
         tokens.append(int(m.group(1)))
         pos += m.end()
     width, height, maxval = tokens
+    if not 0 < maxval <= 65535:
+        raise FormatError(f"{path}: maxval {maxval} outside 1..65535")
     pos += 1  # single whitespace after maxval
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels

@@ -6,7 +6,12 @@ implements the exact adjoint (reverse-mode gradient) given the gradient of
 the loss w.r.t. the op's output and the cached forward inputs.
 
 Convolutions use the correlation convention (no kernel flip) and reflexive
-padding so the spatial size is always preserved.
+padding so the spatial size is always preserved. All four convolution
+kernels (conv2d, conv_transpose2d and their backward passes) are one
+lowering: ``_im2col`` turns the padded image into a matrix of k x k
+patches, one row per pixel, so each kernel is a matrix product with the
+(k*k*in, out) filter matrix; ``_col2im``, its exact adjoint, adds patch
+rows back and folds the padded border onto the pixels it mirrors.
 """
 from __future__ import annotations
 
@@ -33,9 +38,9 @@ def check_image(x: np.ndarray) -> np.ndarray:
 class FilterBank:
     """A bank of convolution filters.
 
-    weights has shape (out_channels, in_channels, kh, kw); bias has length
-    out_channels for the forward direction and length in_channels when the
-    bank is used by conv_transpose2d.
+    weights has shape (out_channels, in_channels, k, k) with k odd; bias
+    has length out_channels for the forward direction and length
+    in_channels when the bank is used by conv_transpose2d.
     """
 
     weights: np.ndarray
@@ -45,8 +50,8 @@ class FilterBank:
         if self.weights.ndim != 4:
             raise ShapeError(f"filter weights must be 4-D, got {self.weights.shape}")
         kh, kw = self.weights.shape[2:]
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
+        if kh != kw or kh % 2 == 0:
+            raise ShapeError(f"kernel must be square with odd size, got {kh}x{kw}")
 
     @property
     def out_channels(self) -> int:
@@ -61,34 +66,25 @@ class FilterBank:
 # reflexive padding
 
 
-def _reflect_index(n: int, pad: int) -> np.ndarray:
-    """Index map for mirror padding that does not repeat the edge sample."""
-    idx = np.arange(-pad, n + pad)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n - 2
-    idx = np.mod(idx, period)
-    return np.where(idx >= n, period - idx, idx)
-
-
 def _pad_reflect(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
-    rows = _reflect_index(x.shape[0], pad)
-    cols = _reflect_index(x.shape[1], pad)
-    return x[rows][:, cols]
+    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
 
 
 def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_pad_reflect``: fold padded-border gradients back inside."""
+    """Adjoint of ``_pad_reflect``: per axis, keep the centre and add each
+    border row (then column) onto the one it mirrors."""
     if pad == 0:
         return gp.copy()
-    rows = _reflect_index(n_h, pad)
-    cols = _reflect_index(n_w, pad)
-    tmp = np.zeros((n_h,) + gp.shape[1:], dtype=gp.dtype)
-    np.add.at(tmp, rows, gp)
-    out = np.zeros((n_h, n_w) + gp.shape[2:], dtype=gp.dtype)
-    np.add.at(out, (slice(None), cols), tmp)
+    rows = np.pad(np.arange(n_h), pad, mode="reflect")
+    cols = np.pad(np.arange(n_w), pad, mode="reflect")
+    tmp = gp[pad : pad + n_h].copy()
+    for i in [*range(pad), *range(pad + n_h, n_h + 2 * pad)]:
+        tmp[rows[i]] += gp[i]
+    out = tmp[:, pad : pad + n_w].copy()
+    for j in [*range(pad), *range(pad + n_w, n_w + 2 * pad)]:
+        out[:, cols[j]] += tmp[:, j]
     return out
 
 
@@ -112,20 +108,43 @@ def reflexive_pad_backward(grad_out: np.ndarray, input_shape: tuple, pad: int) -
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution: im2col + GEMM (Chellapilla, Puri & Simard, 2006)
 
 
-def _patch_view(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Sliding (kh, kw) patch view of a padded (Hp, Wp, C) array.
-
-    Returns shape (H, W, kh, kw, C) without copying.
-    """
-    H = xp.shape[0] - kh + 1
-    W = xp.shape[1] - kw + 1
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(H, W, C) -> (H*W, k*k*C): row h*W + w is the k x k patch of the
+    reflexive-padded input centred on pixel (h, w), in (i, j, c) order."""
+    H, W, C = x.shape
+    xp = _pad_reflect(x, (k - 1) // 2)
     s0, s1, s2 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (H, W, kh, kw, xp.shape[2]), (s0, s1, s0, s1, s2), writeable=False
+    patches = np.lib.stride_tricks.as_strided(
+        xp, (H, W, k, k, C), (s0, s1, s0, s1, s2), writeable=False
     )
+    return patches.reshape(H * W, k * k * C)
+
+
+def _col2im(cols: np.ndarray, shape: tuple, k: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: add every patch back onto the padded grid,
+    then fold the border into the (H, W, C) image."""
+    H, W, C = shape
+    pad = (k - 1) // 2
+    cols = cols.reshape(H, W, k, k, C)
+    gp = np.zeros((H + 2 * pad, W + 2 * pad, C), dtype=cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gp[i : i + H, j : j + W] += cols[:, :, i, j]
+    return _pad_reflect_adjoint(gp, H, W, pad)
+
+
+def _filter_matrix(w: np.ndarray) -> np.ndarray:
+    """(out, in, k, k) filters -> (k*k*in, out) matrix for ``_im2col`` rows."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+
+
+def _filter_matrix_adjoint(m: np.ndarray, shape: tuple) -> np.ndarray:
+    """(k*k*in, out) matrix -> (out, in, k, k) filters."""
+    out, cin, k, _ = shape
+    return m.reshape(k, k, cin, out).transpose(3, 2, 0, 1)
 
 
 def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
@@ -136,41 +155,21 @@ def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
-    kh, kw = w.shape[2:]
-    xp = _pad_reflect(x, (kh - 1) // 2)
-    patches = _patch_view(xp, kh, kw)
-    y = np.einsum("hwijc,ocij->hwo", patches, w, optimize=True)
-    return y + filters.bias
+    y = _im2col(x, w.shape[2]) @ _filter_matrix(w)
+    return y.reshape(x.shape[0], x.shape[1], -1) + filters.bias
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):
     """Gradients of conv2d w.r.t. (input, weights, bias)."""
     w = filters.weights
-    kh, kw = w.shape[2:]
+    k = w.shape[2]
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[0]):
         raise ShapeError("grad_out shape does not match conv2d output")
-    pad = (kh - 1) // 2
-    xp = _pad_reflect(x, pad)
-    patches = _patch_view(xp, kh, kw)
-    gw = np.einsum("hwijc,hwo->ocij", patches, grad_out, optimize=True)
+    g = grad_out.reshape(-1, w.shape[0])
+    gw = _filter_matrix_adjoint(_im2col(x, k).T @ g, w.shape)
     gb = grad_out.sum(axis=(0, 1))
-    gx = _conv_input_grad(grad_out, w)
-    gx = _pad_reflect_adjoint(gx, x.shape[0], x.shape[1], pad)
+    gx = _col2im(g @ _filter_matrix(w).T, x.shape, k)
     return gx, gw, gb
-
-
-def _conv_input_grad(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Adjoint of the pure (padded) correlation: maps (H, W, out) back to
-    the padded input grid (H + kh - 1, W + kw - 1, in)."""
-    kh, kw = w.shape[2:]
-    gz = np.zeros(
-        (gy.shape[0] + 2 * (kh - 1), gy.shape[1] + 2 * (kw - 1), w.shape[0]),
-        dtype=gy.dtype,
-    )
-    gz[kh - 1 : kh - 1 + gy.shape[0], kw - 1 : kw - 1 + gy.shape[1]] = gy
-    patches = _patch_view(gz, kh, kw)
-    wflip = w[:, :, ::-1, ::-1]
-    return np.einsum("hwijo,ocij->hwc", patches, wflip, optimize=True)
 
 
 def conv_transpose2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
@@ -186,10 +185,8 @@ def conv_transpose2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         )
     if filters.bias.shape != (filters.in_channels,):
         raise ShapeError("conv_transpose2d bias must have length in_channels")
-    kh, kw = w.shape[2:]
-    pad = (kh - 1) // 2
-    gx = _conv_input_grad(x, w)
-    y = _pad_reflect_adjoint(gx, x.shape[0], x.shape[1], pad)
+    cols = x.reshape(-1, x.shape[2]) @ _filter_matrix(w).T
+    y = _col2im(cols, (x.shape[0], x.shape[1], filters.in_channels), w.shape[2])
     return y + filters.bias
 
 
@@ -197,18 +194,15 @@ def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: Filt
     """Gradients of conv_transpose2d w.r.t. (input, weights, bias).
 
     Because the forward is the adjoint of conv2d, the input gradient is a
-    plain (bias-free) conv2d and the weight gradient reuses the conv2d
-    weight-gradient kernel with the roles of input and output swapped.
+    plain (bias-free) conv2d and the weight gradient is the conv2d
+    weight-gradient GEMM with the roles of input and output swapped.
     """
     w = filters.weights
     if grad_out.shape != (x.shape[0], x.shape[1], filters.in_channels):
         raise ShapeError("grad_out shape does not match conv_transpose2d output")
-    kh, kw = w.shape[2:]
-    pad = (kh - 1) // 2
-    gp = _pad_reflect(grad_out, pad)
-    patches = _patch_view(gp, kh, kw)
-    gx = np.einsum("hwijc,ocij->hwo", patches, w, optimize=True)
-    gw = np.einsum("hwijc,hwo->ocij", patches, x, optimize=True)
+    cols = _im2col(grad_out, w.shape[2])
+    gx = (cols @ _filter_matrix(w)).reshape(x.shape)
+    gw = _filter_matrix_adjoint(cols.T @ x.reshape(-1, x.shape[2]), w.shape)
     gb = grad_out.sum(axis=(0, 1))
     return gx, gw, gb
 

@@ -126,7 +126,11 @@ class TestReconstructionCommands:
 
     def test_missing_model_is_usage_error(self, clean_ppm):
         path, _ = clean_ppm
-        assert main(["demosaick", str(path)]) == 2
+        assert main(["demosaick", str(path)]) == 1
+
+    def test_denoise_without_model_is_usage_error(self, clean_ppm):
+        path, _ = clean_ppm
+        assert main(["denoise", str(path), "--sigma", "5"]) == 1
 
     def test_nonexistent_model_file(self, clean_ppm, tmp_path):
         path, _ = clean_ppm
@@ -180,6 +184,10 @@ class TestEvalCommand:
 
     def test_model_method(self, eval_dir, cascade_model):
         assert main(["eval", str(eval_dir), "--model", str(cascade_model)]) == 0
+
+    def test_model_method_without_model_is_usage_error(self, eval_dir):
+        assert main(["eval", str(eval_dir)]) == 1
+        assert main(["eval", str(eval_dir), "--method", "model"]) == 1
 
     def test_model_method_rejects_denoiser_checkpoint(self, eval_dir, denoiser_model, capsys):
         assert main(["eval", str(eval_dir), "--method", "model",

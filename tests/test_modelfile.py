@@ -84,6 +84,16 @@ def test_truncated_payload(tmp_path):
     assert exc.value.offset is not None
 
 
+def test_depth_without_its_arrays(tmp_path):
+    path = tmp_path / "d.rdnc"
+    save_model(init_resdnet(1, seed=7, num_filters=4), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, 2)  # header says depth 2, arrays hold depth 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="block02"):
+        load_model(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     params = init_resdnet(1, seed=6, num_filters=4)
     path = tmp_path / "x.rdnc"

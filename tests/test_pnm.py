@@ -69,6 +69,14 @@ def test_bad_magic(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_maxval_out_of_range(tmp_path, maxval):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n2 2\n%d\n" % maxval + b"\x00" * 8)
+    with pytest.raises(FormatError, match="maxval"):
+        read_image(path)
+
+
 def test_truncated_pixels(tmp_path):
     path = tmp_path / "short.ppm"
     path.write_bytes(b"P6\n2 2\n255\n\x00\x01")

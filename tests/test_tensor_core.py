@@ -11,9 +11,12 @@ from demosaick.tensor_core import (
     clip,
     clip_backward,
     conv2d,
+    conv2d_backward,
     conv_transpose2d,
+    conv_transpose2d_backward,
     prelu,
     reflexive_pad,
+    reflexive_pad_backward,
 )
 
 
@@ -38,6 +41,25 @@ class TestReflexivePad:
     def test_pad_too_large(self):
         with pytest.raises(DimensionError):
             reflexive_pad(np.zeros((3, 3, 1)), 3)
+
+    def test_adjoint_identity_every_accepted_size(self):
+        gen = rng(9)
+        for n_h in range(1, 9):
+            for n_w in range(1, 9):
+                for pad in range(6):
+                    if any(n > 1 and pad >= n for n in (n_h, n_w)):
+                        continue
+                    a = gen.normal(size=(n_h, n_w, 2))
+                    b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
+                    lhs = (reflexive_pad(a, pad) * b).sum()
+                    rhs = (a * reflexive_pad_backward(b, a.shape, pad)).sum()
+                    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
+
+
+@pytest.mark.parametrize("kh,kw", [(3, 5), (4, 4)])
+def test_filter_bank_needs_square_odd_kernel(kh, kw):
+    with pytest.raises(ShapeError):
+        FilterBank(np.zeros((2, 1, kh, kw)), np.zeros(2))
 
 
 class TestConv2d:
@@ -109,6 +131,83 @@ class TestConvTranspose2d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv_transpose2d(np.zeros((4, 4, 2)), FilterBank(np.zeros((3, 1, 3, 3)), np.zeros(1)))
+
+
+# The sliding-window einsum kernels the im2col lowering replaced, with the
+# index-map reflexive pad and its np.add.at adjoint, kept as the reference.
+
+
+def _ref_index(n, pad):
+    idx = np.arange(-pad, n + pad)
+    if n == 1:
+        return np.zeros_like(idx)
+    idx = np.mod(idx, 2 * n - 2)
+    return np.where(idx >= n, 2 * n - 2 - idx, idx)
+
+
+def _ref_pad(x, pad):
+    return x[_ref_index(x.shape[0], pad)][:, _ref_index(x.shape[1], pad)]
+
+
+def _ref_pad_adjoint(gp, n_h, n_w, pad):
+    out = np.zeros((n_h, n_w, gp.shape[2]))
+    np.add.at(out, np.ix_(_ref_index(n_h, pad), _ref_index(n_w, pad)), gp)
+    return out
+
+
+def _ref_patches(xp, k):
+    """(H, W, k, k, C) sliding windows of a padded (H + k - 1, W + k - 1, C) array."""
+    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
+    return view.transpose(0, 1, 3, 4, 2)
+
+
+def _ref_input_grad(gy, w):
+    """Full correlation with the flipped kernel: the adjoint of the unpadded
+    correlation, on the padded input grid."""
+    k = w.shape[2]
+    gz = np.pad(gy, ((k - 1, k - 1), (k - 1, k - 1), (0, 0)))
+    return np.einsum("hwijo,ocij->hwc", _ref_patches(gz, k), w[:, :, ::-1, ::-1])
+
+
+def _ref_kernels(x, y, w, b, bt):
+    """The 8 outputs of conv2d, conv2d_backward(y, x), conv_transpose2d(y)
+    and conv_transpose2d_backward(x, y), with x of in and y of out channels."""
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    px = _ref_patches(_ref_pad(x, pad), k)
+    gx = _ref_pad_adjoint(_ref_input_grad(y, w), x.shape[0], x.shape[1], pad)
+    return [
+        np.einsum("hwijc,ocij->hwo", px, w) + b,
+        gx,
+        np.einsum("hwijc,hwo->ocij", px, y),
+        y.sum(axis=(0, 1)),
+        gx + bt,
+        np.einsum("hwijc,ocij->hwo", px, w),
+        np.einsum("hwijc,hwo->ocij", px, y),
+        x.sum(axis=(0, 1)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "h,w,cin,cout,k",
+    [(1, 1, 1, 1, 3), (2, 3, 2, 3, 5), (5, 7, 3, 4, 5), (7, 5, 2, 3, 1),
+     (3, 1, 2, 2, 5), (64, 64, 64, 64, 3)],
+)
+def test_kernels_match_einsum_reference(h, w, cin, cout, k):
+    gen = rng(h * 100 + w)
+    x = gen.normal(size=(h, w, cin))
+    y = gen.normal(size=(h, w, cout))
+    weights = gen.normal(size=(cout, cin, k, k))
+    b, bt = gen.normal(size=cout), gen.normal(size=cin)
+    got = [
+        conv2d(x, FilterBank(weights, b)),
+        *conv2d_backward(y, x, FilterBank(weights, b)),
+        conv_transpose2d(y, FilterBank(weights, bt)),
+        *conv_transpose2d_backward(x, y, FilterBank(weights, bt)),
+    ]
+    for i, (a, ref) in enumerate(zip(got, _ref_kernels(x, y, weights, b, bt))):
+        assert a.shape == ref.shape, i
+        assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), i
 
 
 class TestPrelu:
