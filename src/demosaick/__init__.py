@@ -15,6 +15,8 @@ from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .resdnet import (
     ResDNetParams,
+    denoiser_banks,
+    filter_grads,
     init_resdnet,
     materialize_weights,
     parameter_breakdown,
@@ -38,6 +40,8 @@ __all__ = [
     "data_consistency",
     "demosaick_backward",
     "demosaick_forward",
+    "denoiser_banks",
+    "filter_grads",
     "init_resdnet",
     "init_schedule",
     "linrgb_to_srgb",

@@ -5,6 +5,10 @@ observed CFA samples and runs the shared residual denoiser at that step's
 noise level. The backward pass sweeps the stored trajectory in reverse,
 accumulating gradients for the shared denoiser parameters, the
 extrapolation weights and the noise schedule.
+
+The denoiser's filters are shared by all K steps, so each pass
+materializes them once; the backward pass sums the K steps' filter
+gradients and takes them back through the materialization once.
 """
 from __future__ import annotations
 
@@ -13,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfa import MosaicObservation, data_consistency
-from .resdnet import ResDNetParams, resdnet_backward, resdnet_forward
+from .resdnet import (
+    ResDNetParams,
+    denoiser_banks,
+    filter_grads,
+    resdnet_backward,
+    resdnet_forward,
+)
 from .tensor_core import ShapeError
 
 
@@ -76,10 +86,11 @@ def demosaick_forward(y: MosaicObservation, params: CascadeParams):
     x_cur = y.data.copy()
     states = [x_prev, x_cur]
     caches = []
+    banks = denoiser_banks(params.denoiser)
     for i in range(params.steps):
         u = x_cur + params.w[i] * (x_cur - x_prev)
         z = data_consistency(u, y)
-        x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
+        x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser, banks)
         caches.append(cache)
         states.append(x_next)
         x_prev, x_cur = x_cur, x_next
@@ -96,16 +107,22 @@ def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams
     y = traj.observation
     keep = 1.0 - y.pattern.mask(grad.shape[0], grad.shape[1])  # (I - M)
 
-    param_grads = {k: np.zeros_like(v) for k, v in params.denoiser.flatten().items()}
+    banks = denoiser_banks(params.denoiser)
+    summed = {}
     g_w = np.zeros(K)
     g_sig = np.zeros(K)
 
     g_cur = grad          # d loss / d x^(i+1)
     g_prev = np.zeros_like(grad)  # d loss / d x^(i)
     for i in reversed(range(K)):
-        g_z, step_grads, g_sigma = resdnet_backward(g_cur, traj.caches[i], params.denoiser)
+        g_z, step_grads, g_sigma = resdnet_backward(
+            g_cur, traj.caches[i], params.denoiser, banks
+        )
         for k, v in step_grads.items():
-            param_grads[k] += v
+            if k in summed:
+                summed[k] += v
+            else:
+                summed[k] = v
         g_sig[i] = g_sigma
         g_u = keep * g_z
         diff = traj.states[i + 1] - traj.states[i]
@@ -114,6 +131,7 @@ def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams
         g_xi = g_prev + (1.0 + params.w[i]) * g_u
         g_xim1 = -params.w[i] * g_u
         g_cur, g_prev = g_xi, g_xim1
+    param_grads = filter_grads(summed, params.denoiser)
     param_grads["cascade.w"] = g_w
     param_grads["cascade.sigmas"] = g_sig
     return param_grads

@@ -12,6 +12,8 @@ import numpy as np
 from .cascade import CascadeParams, demosaick_backward, demosaick_forward, init_schedule
 from .cfa import make_pattern, mosaic
 from .resdnet import (
+    denoiser_banks,
+    filter_grads,
     init_resdnet,
     materialize_weights,
     materialize_weights_backward,
@@ -187,8 +189,10 @@ def check_resdnet(seed: int = 0, interior: bool = False) -> dict:
     x = gen.uniform(40, 215, size=(8, 8, 3))
     c = gen.uniform(-1, 1, size=(8, 8, 3))
 
-    out, cache = resdnet_forward(x, sigma, params)
-    g_x, grads, g_sigma = resdnet_backward(c, cache, params)
+    banks = denoiser_banks(params)
+    out, cache = resdnet_forward(x, sigma, params, banks)
+    g_x, grads, g_sigma = resdnet_backward(c, cache, params, banks)
+    grads = filter_grads(grads, params)
 
     flat = params.flatten()
     errs = {}

@@ -92,7 +92,13 @@ def load_model(path):
         raise ModelFormatError("trailing bytes after last array", offset=pos)
     try:
         if steps == 0:
-            return ResDNetParams.from_flat(arrays, depth)
-        return CascadeParams.from_flat(arrays, depth)
+            params = ResDNetParams.from_flat(arrays, depth)
+        else:
+            params = CascadeParams.from_flat(arrays, depth)
     except KeyError as exc:
         raise ModelFormatError(f"no array {exc.args[0]!r} for depth {depth}") from exc
+    expected = params.flatten()
+    for name in arrays:
+        if name not in expected:
+            raise ModelFormatError(f"unexpected array {name!r} for depth {depth}")
+    return params

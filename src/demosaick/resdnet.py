@@ -4,8 +4,9 @@ normalized filter parametrization and the variance-aware projection layer.
 The network estimates the noise realization, rescales it so its l2 norm is
 at most eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input
 and clips to [0, 255]. All trainable tensors live in ResDNetParams;
-gradients are returned as a flat {name: array} dict mirroring
-``ResDNetParams.flatten``.
+gradients are returned as a flat {name: array} dict: ``resdnet_backward``
+gives each layer's materialized-filter gradient, and ``filter_grads``
+turns those into the ``ResDNetParams.flatten`` entries.
 """
 from __future__ import annotations
 
@@ -110,6 +111,11 @@ def project_noise_backward(grad_out: np.ndarray, e: np.ndarray, sigma: float, ga
 # parameters
 
 
+def block_name(i: int) -> str:
+    """Name of the i-th nonlinear block's layer in flat dicts and banks."""
+    return f"block{i:02d}"
+
+
 @dataclass
 class ConvParams:
     u: np.ndarray      # raw filters (out, in, kh, kw)
@@ -137,17 +143,17 @@ class ResDNetParams:
     def num_filters(self) -> int:
         return self.head.u.shape[0]
 
+    def convs(self) -> dict:
+        """The 2D + 2 convolution layers by name: head, block00..., tail."""
+        blocks = {block_name(i): blk for i, blk in enumerate(self.blocks)}
+        return {"head": self.head, **blocks, "tail": self.tail}
+
     def flatten(self) -> dict:
-        out = {"head.u": self.head.u, "head.s": self.head.s, "head.bias": self.head.bias}
-        for i, blk in enumerate(self.blocks):
-            p = f"block{i:02d}"
-            out[f"{p}.u"] = blk.u
-            out[f"{p}.s"] = blk.s
-            out[f"{p}.bias"] = blk.bias
-            out[f"{p}.kappa"] = blk.kappa
-        out["tail.u"] = self.tail.u
-        out["tail.s"] = self.tail.s
-        out["tail.bias"] = self.tail.bias
+        out = {}
+        for name, conv in self.convs().items():
+            out[f"{name}.u"], out[f"{name}.s"], out[f"{name}.bias"] = conv.u, conv.s, conv.bias
+            if isinstance(conv, BlockParams):
+                out[f"{name}.kappa"] = conv.kappa
         out["gamma"] = np.asarray(self.gamma, dtype=np.float64)
         return out
 
@@ -156,7 +162,7 @@ class ResDNetParams:
         head = ConvParams(flat["head.u"], flat["head.s"], flat["head.bias"])
         blocks = []
         for i in range(2 * depth):
-            p = f"block{i:02d}"
+            p = block_name(i)
             blocks.append(
                 BlockParams(flat[f"{p}.u"], flat[f"{p}.s"], flat[f"{p}.bias"], flat[f"{p}.kappa"])
             )
@@ -217,25 +223,52 @@ def init_resdnet(
 # forward / backward
 
 
-def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
-    """Denoise ``x`` assuming noise level ``sigma``. Returns (output, cache)."""
+def denoiser_banks(params: ResDNetParams) -> dict:
+    """Every layer's FilterBank by name (see ``ResDNetParams.convs``),
+    materialized once, so a cascade pass can share them across its steps."""
+    return {name: conv.bank() for name, conv in params.convs().items()}
+
+
+def filter_grads(grads: dict, params: ResDNetParams) -> dict:
+    """Replace each ``<layer>.weights`` gradient in ``grads`` (w.r.t. the
+    materialized filters) by the gradients of that layer's raw filters and
+    scales, ``<layer>.u`` and ``<layer>.s``."""
+    convs = params.convs()
+    out = {}
+    for key, g in grads.items():
+        layer, _, kind = key.rpartition(".")
+        if kind == "weights":
+            conv = convs[layer]
+            out[f"{layer}.u"], out[f"{layer}.s"] = materialize_weights_backward(g, conv.u, conv.s)
+        else:
+            out[key] = g
+    return out
+
+
+def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams, banks=None):
+    """Denoise ``x`` assuming noise level ``sigma``. Returns (output, cache).
+
+    ``banks`` is ``denoiser_banks(params)``, passed by a caller that reuses
+    it; when omitted it is built here. The output is the same either way."""
     if x.ndim != 3 or x.shape[2] != params.head.u.shape[1]:
         raise ShapeError(f"expected (H, W, {params.head.u.shape[1]}) input, got {x.shape}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    h = conv2d(x, params.head.bank())
+    if banks is None:
+        banks = denoiser_banks(params)
+    h = conv2d(x, banks["head"])
     block_pre, block_act = [], []
     for pair in range(params.depth):
         p = h
         for j in (0, 1):
-            blk = params.blocks[2 * pair + j]
+            i = 2 * pair + j
             block_pre.append(h)
-            a = prelu(h, blk.kappa)
+            a = prelu(h, params.blocks[i].kappa)
             block_act.append(a)
-            h = conv2d(a, blk.bank())
+            h = conv2d(a, banks[block_name(i)])
         h = p + h
     tail_in = h
-    r = conv_transpose2d(h, params.tail.bank())
+    r = conv_transpose2d(h, banks["tail"])
     rp = project_noise(r, sigma, params.gamma)
     pre = x - rp
     out = clip(pre, 0.0, 255.0)
@@ -251,9 +284,15 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
     return out, cache
 
 
-def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
-    """Reverse-mode pass. Returns (grad_input, grad_params, grad_sigma)
-    where grad_params is a flat dict matching ``params.flatten()``."""
+def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams,
+                     banks: dict):
+    """Reverse-mode pass through the filters ``banks`` (``denoiser_banks(params)``).
+    Returns (grad_input, grad_params, grad_sigma).
+
+    grad_params holds each layer's ``<layer>.weights`` gradient (w.r.t. its
+    materialized filters) in place of ``<layer>.u`` and ``<layer>.s``, so a
+    caller that sums it over several passes takes the sum through
+    ``filter_grads`` once."""
     if grad_out.shape != cache.x.shape:
         raise ShapeError("grad_out shape does not match forward output")
     grads = {}
@@ -265,29 +304,24 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
     )
     grads["gamma"] = np.asarray(g_gamma)
 
-    tail_bank = params.tail.bank()
-    g_h, g_tw, g_tb = conv_transpose2d_backward(g_r, cache.tail_in, tail_bank)
-    g_tu, g_ts = materialize_weights_backward(g_tw, params.tail.u, params.tail.s)
-    grads["tail.u"], grads["tail.s"], grads["tail.bias"] = g_tu, g_ts, g_tb
+    g_h, grads["tail.weights"], grads["tail.bias"] = conv_transpose2d_backward(
+        g_r, cache.tail_in, banks["tail"]
+    )
 
     for pair in reversed(range(params.depth)):
         g_p = g_h  # shortcut branch
         for j in (1, 0):
             i = 2 * pair + j
-            blk = params.blocks[i]
-            bank = blk.bank()
-            g_a, g_w, g_b = conv2d_backward(g_h, cache.block_act[i], bank)
-            g_u, g_s = materialize_weights_backward(g_w, blk.u, blk.s)
-            g_h, g_k = prelu_backward(g_a, cache.block_pre[i], blk.kappa)
-            p = f"block{i:02d}"
-            grads[f"{p}.u"], grads[f"{p}.s"] = g_u, g_s
-            grads[f"{p}.bias"], grads[f"{p}.kappa"] = g_b, g_k
+            p = block_name(i)
+            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(
+                g_h, cache.block_act[i], banks[p]
+            )
+            g_h, grads[f"{p}.kappa"] = prelu_backward(
+                g_a, cache.block_pre[i], params.blocks[i].kappa
+            )
         g_h = g_h + g_p
 
-    head_bank = params.head.bank()
-    g_in, g_hw, g_hb = conv2d_backward(g_h, cache.x, head_bank)
-    g_hu, g_hs = materialize_weights_backward(g_hw, params.head.u, params.head.s)
-    grads["head.u"], grads["head.s"], grads["head.bias"] = g_hu, g_hs, g_hb
+    g_in, grads["head.weights"], grads["head.bias"] = conv2d_backward(g_h, cache.x, banks["head"])
     g_x = g_x + g_in
     return g_x, grads, g_sigma
 

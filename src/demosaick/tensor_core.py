@@ -10,8 +10,12 @@ padding so the spatial size is always preserved. All four convolution
 kernels (conv2d, conv_transpose2d and their backward passes) are one
 lowering: ``_im2col`` turns the padded image into a matrix of k x k
 patches, one row per pixel, so each kernel is a matrix product with the
-(k*k*in, out) filter matrix; ``_col2im``, its exact adjoint, adds patch
-rows back and folds the padded border onto the pixels it mirrors.
+(k*k*in, out) filter matrix. ``_col2im`` is the exact adjoint of that
+product and works channel-major: one GEMM gives, for every patch offset
+(i, j), a (C, H*Wp) block laid out on rows of the padded width Wp, so the
+block is added to the flat (C, Hp*Wp) padded grid as one contiguous slice
+at offset i*Wp + j; the grid is then transposed back and its border folded
+onto the pixels it mirrors.
 """
 from __future__ import annotations
 
@@ -123,16 +127,26 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return patches.reshape(H * W, k * k * C)
 
 
-def _col2im(cols: np.ndarray, shape: tuple, k: int) -> np.ndarray:
-    """Adjoint of ``_im2col``: add every patch back onto the padded grid,
-    then fold the border into the (H, W, C) image."""
-    H, W, C = shape
+def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_im2col(., k) @ _filter_matrix(w)``: (H, W, out) ->
+    (H, W, in), for (out, in, k, k) filters.
+
+    The GEMM runs on ``y`` widened with zero columns to the padded width
+    Wp, so the entry of pixel (h, v) for patch offset (i, j) lands on the
+    flat padded index (h + i)*Wp + v + j: each offset is one contiguous
+    (C, H*Wp) add, and the zero columns wrap onto the next row as zeros."""
+    H, W, _ = y.shape
+    C, k = w.shape[1], w.shape[2]
     pad = (k - 1) // 2
-    cols = cols.reshape(H, W, k, k, C)
-    gp = np.zeros((H + 2 * pad, W + 2 * pad, C), dtype=cols.dtype)
+    Wp, n = W + 2 * pad, H * (W + 2 * pad)
+    yw = np.zeros((H, Wp, y.shape[2]), dtype=y.dtype)
+    yw[:, :W] = y
+    cols = (_filter_matrix(w) @ yw.reshape(n, -1).T).reshape(k, k, C, n)
+    gp = np.zeros((C, n + 2 * pad * (Wp + 1)), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
-            gp[i : i + H, j : j + W] += cols[:, :, i, j]
+            gp[:, i * Wp + j : i * Wp + j + n] += cols[i, j]
+    gp = gp[:, : n + 2 * pad * Wp].reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
     return _pad_reflect_adjoint(gp, H, W, pad)
 
 
@@ -168,8 +182,7 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):
     g = grad_out.reshape(-1, w.shape[0])
     gw = _filter_matrix_adjoint(_im2col(x, k).T @ g, w.shape)
     gb = grad_out.sum(axis=(0, 1))
-    gx = _col2im(g @ _filter_matrix(w).T, x.shape, k)
-    return gx, gw, gb
+    return _col2im(grad_out, w), gw, gb
 
 
 def conv_transpose2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
@@ -185,9 +198,7 @@ def conv_transpose2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         )
     if filters.bias.shape != (filters.in_channels,):
         raise ShapeError("conv_transpose2d bias must have length in_channels")
-    cols = x.reshape(-1, x.shape[2]) @ _filter_matrix(w).T
-    y = _col2im(cols, (x.shape[0], x.shape[1], filters.in_channels), w.shape[2])
-    return y + filters.bias
+    return _col2im(x, w) + filters.bias
 
 
 def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):

@@ -23,13 +23,20 @@ from .cascade import CascadeParams, demosaick_backward, demosaick_forward, init_
 from .cfa import make_pattern, mosaic
 from .metrics import psnr
 from .modelfile import save_model
-from .resdnet import ResDNetParams, init_resdnet, resdnet_backward, resdnet_forward
+from .resdnet import (
+    ResDNetParams,
+    denoiser_banks,
+    filter_grads,
+    init_resdnet,
+    resdnet_backward,
+    resdnet_forward,
+)
 from .tensor_core import ShapeError
 
 
 @dataclass
 class TrainConfig:
-    phase: str = "pretrain"           # not read: the function called sets the phase
+    phase: str = "pretrain"           # not read, nor a config key: the function called sets it
     patch_size: int = 32
     batch_size: int = 4
     lr: float = 1e-2
@@ -57,6 +64,9 @@ class TrainConfig:
         unknown = set(values) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "phase" in values:
+            raise ValueError("config key 'phase' is not accepted: the subcommand "
+                             "(pretrain or train) sets the phase")
         return cls(**values)
 
 
@@ -263,9 +273,10 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
     def patch_loss(p: ResDNetParams, patch, gen):
         sigma = float(gen.uniform(cfg.sigma_lo, cfg.sigma_hi))
         noisy = patch + sigma * gen.standard_normal(patch.shape)
-        den, cache = resdnet_forward(noisy, sigma, p)
+        banks = denoiser_banks(p)
+        den, cache = resdnet_forward(noisy, sigma, p, banks)
         value, g = loss(den, patch, "mse")
-        return value, resdnet_backward(g, cache, p)[1]
+        return value, filter_grads(resdnet_backward(g, cache, p, banks)[1], p)
 
     def evaluate(p: ResDNetParams, clean, noisy) -> float:
         return psnr(clean, resdnet_forward(noisy, cfg.sigma_hi, p)[0])

@@ -8,6 +8,7 @@ from demosaick.cascade import (
     init_schedule,
 )
 from demosaick.cfa import data_consistency, make_pattern, mosaic
+from demosaick import resdnet
 from demosaick.gradcheck import check_cascade
 from demosaick.resdnet import init_resdnet, resdnet_forward
 
@@ -121,3 +122,57 @@ class TestBackward:
         _, traj = demosaick_forward(y, cp)
         grads = demosaick_backward(np.zeros((8, 8, 3)), traj, cp)
         assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
+
+
+class TestSharedFilters:
+    """One cascade pass materializes the shared filters once, not per step."""
+
+    @staticmethod
+    def _setup(depth=2, steps=3):
+        den = init_resdnet(depth, seed=14, num_filters=4)
+        w, sigmas = init_schedule(steps, 15.0, 1.0)
+        cp = CascadeParams(denoiser=den, w=w + 0.1, sigmas=sigmas)
+        y = mosaic(rng(15).uniform(20, 230, size=(10, 12, 3)), make_pattern("xtrans"))
+        return cp, y
+
+    def test_materialized_once_per_pass(self, monkeypatch):
+        cp, y = self._setup()
+        calls = {"forward": 0, "backward": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(resdnet, "materialize_weights",
+                            counting("forward", resdnet.materialize_weights))
+        monkeypatch.setattr(resdnet, "materialize_weights_backward",
+                            counting("backward", resdnet.materialize_weights_backward))
+        n_banks = 2 * cp.denoiser.depth + 2
+        _, traj = demosaick_forward(y, cp)
+        assert calls == {"forward": n_banks, "backward": 0}
+        demosaick_backward(np.ones((10, 12, 3)), traj, cp)
+        assert calls == {"forward": 2 * n_banks, "backward": n_banks}
+
+    def test_backward_equals_sum_of_step_gradients(self):
+        cp, y = self._setup()
+        _, traj = demosaick_forward(y, cp)
+        grad = rng(16).normal(size=(10, 12, 3))
+        got = demosaick_backward(grad, traj, cp)
+
+        # the BPTT sweep with each step's gradients taken through the
+        # materialization on its own, then summed
+        keep = 1.0 - y.pattern.mask(10, 12)
+        want = {k: np.zeros_like(v) for k, v in cp.denoiser.flatten().items()}
+        banks = resdnet.denoiser_banks(cp.denoiser)
+        g_cur, g_prev = grad, np.zeros_like(grad)
+        for i in reversed(range(cp.steps)):
+            g_z, step, _ = resdnet.resdnet_backward(g_cur, traj.caches[i], cp.denoiser, banks)
+            for k, v in resdnet.filter_grads(step, cp.denoiser).items():
+                want[k] += v
+            g_u = keep * g_z
+            g_cur, g_prev = g_prev + (1.0 + cp.w[i]) * g_u, -cp.w[i] * g_u
+        assert set(got) == set(want) | {"cascade.w", "cascade.sigmas"}
+        for k, v in want.items():
+            assert np.abs(got[k] - v).max() <= 1e-12 * np.abs(v).max(), k

@@ -248,6 +248,17 @@ class TestTrainingCommands:
         cfg.write_text("learning_rate = 0.1\n")
         assert main(["pretrain", "--data", str(data_dir), "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_phase_config_key_is_rejected(self, data_dir, train_cfg, tmp_path, capsys,
+                                          command):
+        cfg = tmp_path / "phase.cfg"
+        cfg.write_text(train_cfg.read_text() + "phase = joint\n")
+        out = tmp_path / "never.rdnc"
+        assert main([command, "--data", str(data_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "subcommand" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMiscCommands:
     def test_params_reference_configuration(self, capsys):

@@ -94,6 +94,16 @@ def test_depth_without_its_arrays(tmp_path):
         load_model(path)
 
 
+def test_arrays_beyond_header_depth(tmp_path):
+    path = tmp_path / "d.rdnc"
+    save_model(init_resdnet(2, seed=7, num_filters=4), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, 1)  # header says depth 1, arrays hold depth 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match="unexpected array 'block02.u'"):
+        load_model(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     params = init_resdnet(1, seed=6, num_filters=4)
     path = tmp_path / "x.rdnc"

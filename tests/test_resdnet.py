@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demosaick.gradcheck import check_resdnet
 from demosaick.resdnet import (
     DegenerateFilterError,
+    denoiser_banks,
     init_resdnet,
     materialize_weights,
     parameter_breakdown,
@@ -192,8 +193,9 @@ class TestBackward:
     def test_zero_grad_out(self):
         p = init_resdnet(1, seed=8, num_filters=8)
         x = rng(9).uniform(20, 230, size=(8, 8, 3))
-        _, cache = resdnet_forward(x, 5.0, p)
-        g_x, grads, g_sigma = resdnet_backward(np.zeros_like(x), cache, p)
+        banks = denoiser_banks(p)
+        _, cache = resdnet_forward(x, 5.0, p, banks)
+        g_x, grads, g_sigma = resdnet_backward(np.zeros_like(x), cache, p, banks)
         assert np.all(g_x == 0.0) and g_sigma == 0.0
         assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
 

@@ -191,7 +191,10 @@ def _ref_kernels(x, y, w, b, bt):
 @pytest.mark.parametrize(
     "h,w,cin,cout,k",
     [(1, 1, 1, 1, 3), (2, 3, 2, 3, 5), (5, 7, 3, 4, 5), (7, 5, 2, 3, 1),
-     (3, 1, 2, 2, 5), (64, 64, 64, 64, 3)],
+     (3, 1, 2, 2, 5), (64, 64, 64, 64, 3),
+     # the desk-scale block and the paper-scale head/tail (64 -> 3 through
+     # conv_transpose2d) on a non-square image
+     (32, 32, 8, 8, 3), (48, 96, 3, 64, 5)],
 )
 def test_kernels_match_einsum_reference(h, w, cin, cout, k):
     gen = rng(h * 100 + w)
