@@ -105,7 +105,7 @@ def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams
     if len(traj.states) != K + 2:
         raise ShapeError("trajectory does not match cascade length")
     y = traj.observation
-    keep = 1.0 - y.pattern.mask(grad.shape[0], grad.shape[1])  # (I - M)
+    keep = 1.0 - y.mask  # (I - M)
 
     banks = denoiser_banks(params.denoiser)
     summed = {}

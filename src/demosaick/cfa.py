@@ -7,6 +7,7 @@ mosaic operator keeps exactly one channel per pixel and zeroes the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,14 @@ class MosaicObservation:
     pattern: CfaPattern
     sigma: float = 0.0
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The pattern's (H, W, 3) mask at the data's size, built on first
+        use and shared read-only by every later reader."""
+        m = self.pattern.mask(self.data.shape[0], self.data.shape[1])
+        m.flags.writeable = False
+        return m
+
 
 def make_pattern(kind: str) -> CfaPattern:
     if kind in _BAYER_CELLS:
@@ -95,8 +104,7 @@ def data_consistency(u: np.ndarray, y: MosaicObservation) -> np.ndarray:
     """(I - M) u + y: sampled positions from y, the rest from u."""
     if u.shape != y.data.shape:
         raise ShapeError(f"shape mismatch: {u.shape} vs {y.data.shape}")
-    m = y.pattern.mask(u.shape[0], u.shape[1])
-    return np.where(m > 0, y.data, u)
+    return np.where(y.mask > 0, y.data, u)
 
 
 def bilinear_demosaick(y: MosaicObservation) -> np.ndarray:
@@ -106,8 +114,7 @@ def bilinear_demosaick(y: MosaicObservation) -> np.ndarray:
     kernels exactly; for sparser patterns (X-Trans red/blue) the window
     grows until every pixel sees at least one sample of the channel.
     """
-    data = y.data
-    mask = y.pattern.mask(data.shape[0], data.shape[1])
+    data, mask = y.data, y.mask
     out = np.empty_like(data)
     for c in range(3):
         out[:, :, c] = _interpolate_channel(data[:, :, c], mask[:, :, c])

@@ -27,6 +27,17 @@ from .training import TrainConfig, load_dataset, pretrain_denoiser, train_joint
 PAPER_PARAM_TOTAL = 380_356
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 # flags shared by several subcommands; each subcommand adds only those it reads
 _FLAGS = {
     "--pattern": dict(choices=PATTERN_NAMES, default="bayer_rggb"),
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a directory of (truth, observation) pairs")
     p.add_argument("directory")
     p.add_argument("--method", choices=["model", "bilinear"], default="model")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     _add_flags(p, "--pattern", "--model", "--out")
     p.set_defaults(func=cmd_eval)
 
@@ -95,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", help="trainable parameter count breakdown")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--filters", type=int, default=64)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--depth", type=_positive_int, default=5)
+    p.add_argument("--filters", type=_positive_int, default=64)
+    p.add_argument("--steps", type=_positive_int, default=10)
     p.set_defaults(func=cmd_params)
     return parser
 

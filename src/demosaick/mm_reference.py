@@ -14,7 +14,7 @@ from .cfa import MosaicObservation
 
 def objective_value(x: np.ndarray, y: MosaicObservation, sigma: float, lam: float) -> float:
     """Q(x) = ||y - M x||^2 / (2 sigma^2) + lam ||x||^2."""
-    m = y.pattern.mask(x.shape[0], x.shape[1])
+    m = y.mask
     fid = float(((y.data - m * x) ** 2).sum()) / (2.0 * sigma ** 2)
     return fid + lam * float((x ** 2).sum())
 
@@ -22,7 +22,7 @@ def objective_value(x: np.ndarray, y: MosaicObservation, sigma: float, lam: floa
 def majorizer_gap(x: np.ndarray, x0: np.ndarray, y: MosaicObservation,
                   sigma: float, alpha: float) -> float:
     """d(x, x0) = (x - x0)^T (alpha I - M) (x - x0) / (2 sigma^2)."""
-    m = y.pattern.mask(x.shape[0], x.shape[1])
+    m = y.mask
     d = x - x0
     return float(((alpha - m) * d ** 2).sum()) / (2.0 * sigma ** 2)
 
@@ -43,7 +43,7 @@ def surrogate_value(x: np.ndarray, x0: np.ndarray, y: MosaicObservation,
         raise ValueError("sigma must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    m = y.pattern.mask(x.shape[0], x.shape[1])
+    m = y.mask
     z = x0 + m * (y.data - m * x0) / alpha
     c = (alpha - 1.0) / (2.0 * alpha * sigma ** 2) * float(((y.data - m * x0) ** 2).sum())
     quad = alpha / (2.0 * sigma ** 2) * float(((x - z) ** 2).sum())
@@ -61,7 +61,7 @@ def mm_reference_iterate(y: MosaicObservation, sigma: float, alpha: float,
         raise ValueError("alpha must exceed 1 for a valid majorizer")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    m = y.pattern.mask(y.data.shape[0], y.data.shape[1])
+    m = y.mask
     shrink = 1.0 + 2.0 * lam * sigma ** 2 / alpha
     x = y.data.copy()
     iterates = [x]

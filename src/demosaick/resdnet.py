@@ -3,7 +3,11 @@ normalized filter parametrization and the variance-aware projection layer.
 
 The network estimates the noise realization, rescales it so its l2 norm is
 at most eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input
-and clips to [0, 255]. All trainable tensors live in ResDNetParams;
+and clips to [0, 255]. A forward pass keeps 2D + 1 F-channel arrays for the
+backward pass ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64
+patch at D=5, F=64): each PReLU's input and the tail input. The backward
+pass recomputes each PReLU output, 2D extra ``prelu`` calls and no
+convolution. All trainable tensors live in ResDNetParams;
 gradients are returned as a flat {name: array} dict: ``resdnet_backward``
 gives each layer's materialized-filter gradient, and ``filter_grads``
 turns those into the ``ResDNetParams.flatten`` entries.
@@ -173,12 +177,16 @@ class ResDNetParams:
 
 @dataclass
 class DenoiseCache:
-    """Intermediates of one forward pass, as needed by the backward pass."""
+    """Intermediates of one forward pass, as needed by the backward pass.
+
+    Of the F-channel arrays it keeps only the 2D PReLU inputs and the tail
+    input, (2D + 1) * F * H * W * 8 bytes: about 22 MiB for a 64x64 patch
+    at D=5, F=64. The backward pass recomputes each PReLU output from its
+    input, which costs no convolution."""
 
     x: np.ndarray
     sigma: float
     block_pre: list        # input of each PReLU (len 2D)
-    block_act: list        # output of each PReLU = conv input (len 2D)
     tail_in: np.ndarray
     residual: np.ndarray   # tail output, before projection
     pre_clip: np.ndarray
@@ -257,15 +265,13 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams, banks=No
     if banks is None:
         banks = denoiser_banks(params)
     h = conv2d(x, banks["head"])
-    block_pre, block_act = [], []
+    block_pre = []
     for pair in range(params.depth):
         p = h
         for j in (0, 1):
             i = 2 * pair + j
             block_pre.append(h)
-            a = prelu(h, params.blocks[i].kappa)
-            block_act.append(a)
-            h = conv2d(a, banks[block_name(i)])
+            h = conv2d(prelu(h, params.blocks[i].kappa), banks[block_name(i)])
         h = p + h
     tail_in = h
     r = conv_transpose2d(h, banks["tail"])
@@ -276,7 +282,6 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams, banks=No
         x=x,
         sigma=sigma,
         block_pre=block_pre,
-        block_act=block_act,
         tail_in=tail_in,
         residual=r,
         pre_clip=pre,
@@ -313,12 +318,12 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
         for j in (1, 0):
             i = 2 * pair + j
             p = block_name(i)
+            kappa = params.blocks[i].kappa
+            a = prelu(cache.block_pre[i], kappa)  # recomputed, not cached
             g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(
-                g_h, cache.block_act[i], banks[p]
+                g_h, a, banks[p]
             )
-            g_h, grads[f"{p}.kappa"] = prelu_backward(
-                g_a, cache.block_pre[i], params.blocks[i].kappa
-            )
+            g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, cache.block_pre[i], kappa)
         g_h = g_h + g_p
 
     g_in, grads["head.weights"], grads["head.bias"] = conv2d_backward(g_h, cache.x, banks["head"])

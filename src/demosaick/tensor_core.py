@@ -230,14 +230,23 @@ def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"slopes length {slopes.shape} does not match {x.shape[2]} channels"
         )
-    return np.maximum(x, 0.0) + slopes * np.minimum(x, 0.0)
+    out = np.minimum(x, 0.0)
+    out *= slopes
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def prelu_backward(grad_out: np.ndarray, x: np.ndarray, slopes: np.ndarray):
-    """Gradients of prelu w.r.t. (input, slopes)."""
+    """Gradients of prelu w.r.t. (input, slopes).
+
+    The input gradient is ``grad_out`` times a per-pixel factor, 1 where
+    x > 0 and slopes[c] elsewhere (a -0.0 slope gives a +0.0 factor)."""
     if grad_out.shape != x.shape:
         raise ShapeError("grad_out shape does not match prelu input")
-    gx = np.where(x > 0, grad_out, slopes * grad_out)
+    pos = x > 0
+    factor = ~pos * slopes
+    factor += pos
+    gx = grad_out * factor
     gk = (np.minimum(x, 0.0) * grad_out).sum(axis=(0, 1))
     return gx, gk
 

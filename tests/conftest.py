@@ -1,0 +1,15 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="session")
+def spans():
+    """The benchmark's tracer module, ``perfbench/spans.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

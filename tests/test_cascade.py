@@ -7,7 +7,7 @@ from demosaick.cascade import (
     demosaick_forward,
     init_schedule,
 )
-from demosaick.cfa import data_consistency, make_pattern, mosaic
+from demosaick.cfa import CfaPattern, MosaicObservation, data_consistency, make_pattern, mosaic
 from demosaick import resdnet
 from demosaick.gradcheck import check_cascade
 from demosaick.resdnet import init_resdnet, resdnet_forward
@@ -176,3 +176,35 @@ class TestSharedFilters:
         assert set(got) == set(want) | {"cascade.w", "cascade.sigmas"}
         for k, v in want.items():
             assert np.abs(got[k] - v).max() <= 1e-12 * np.abs(v).max(), k
+
+
+def test_mask_built_once_per_observation(monkeypatch):
+    """A forward plus backward pass builds the observation's CFA mask at
+    most once, and gives the same result as rebuilding it on every read."""
+    cp = _small_cascade(steps=4, seed=17, shift_w=0.1)
+    pattern = make_pattern("xtrans")
+    data = rng(18).uniform(0, 255, size=(12, 10, 3)) * pattern.mask(12, 10)
+    grad = rng(19).normal(size=data.shape)
+
+    def run():
+        est, traj = demosaick_forward(MosaicObservation(data, pattern, 5.0), cp)
+        return [est, *demosaick_backward(grad, traj, cp).values()]
+
+    with monkeypatch.context() as m:
+        m.setattr(MosaicObservation, "mask",
+                  property(lambda y: y.pattern.mask(*y.data.shape[:2])))
+        want = run()
+
+    calls = []
+    build = CfaPattern.mask
+
+    def counting(self, height, width):
+        calls.append((height, width))
+        return build(self, height, width)
+
+    monkeypatch.setattr(CfaPattern, "mask", counting)
+    got = run()
+    assert len(calls) <= 1
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))

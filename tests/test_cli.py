@@ -286,3 +286,16 @@ class TestMiscCommands:
     def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--depth", "-1"],
+        ["params", "--depth", "0"],
+        ["params", "--filters", "-3"],
+        ["params", "--steps", "0"],
+        ["params", "--steps", "ten"],
+        ["eval", "testset", "--method", "bilinear", "--threads", "0"],
+        ["eval", "testset", "--method", "bilinear", "--threads", "-5"],
+    ])
+    def test_non_positive_size_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "must be a positive integer" in capsys.readouterr().err

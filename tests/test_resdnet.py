@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demosaick import resdnet
 from demosaick.gradcheck import check_resdnet
 from demosaick.resdnet import (
     DegenerateFilterError,
@@ -198,6 +199,41 @@ class TestBackward:
         g_x, grads, g_sigma = resdnet_backward(np.zeros_like(x), cache, p, banks)
         assert np.all(g_x == 0.0) and g_sigma == 0.0
         assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
+
+    def test_recomputed_activations_equal_forward_ones(self, monkeypatch):
+        """The backward pass recomputes each PReLU output from the cached
+        input; each must equal, bit for bit, the one the forward pass fed
+        to that block's conv2d."""
+        p = init_resdnet(2, seed=11, num_filters=6)
+        for i, blk in enumerate(p.blocks):
+            blk.kappa = rng(12 + i).uniform(-0.5, 0.5, size=6)
+        x = rng(16).uniform(0, 255, size=(9, 7, 3))
+        banks = denoiser_banks(p)
+        acts, fed, grad_fed = [], [], []
+
+        def recording(store, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                store.append((args, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(resdnet, "prelu", recording(acts, resdnet.prelu))
+        monkeypatch.setattr(resdnet, "conv2d", recording(fed, resdnet.conv2d))
+        monkeypatch.setattr(resdnet, "conv2d_backward",
+                            recording(grad_fed, resdnet.conv2d_backward))
+        _, cache = resdnet_forward(x, 5.0, p, banks)
+        forward_acts = [out for _, out in acts]
+        block_inputs = [args[0] for args, _ in fed[1:]]  # fed[0] is the head
+        assert all(a is b for a, b in zip(block_inputs, forward_acts, strict=True))
+        acts.clear()
+        resdnet_backward(rng(17).normal(size=x.shape), cache, p, banks)
+        recomputed = [out for _, out in acts]
+        block_inputs = [args[1] for args, _ in grad_fed[:-1]]  # grad_fed[-1] is the head
+        assert all(a is b for a, b in zip(block_inputs, recomputed, strict=True))
+        assert len(recomputed) == len(forward_acts) == 2 * p.depth
+        for want, got in zip(forward_acts, reversed(recomputed)):
+            assert np.array_equal(want.view(np.int64), got.view(np.int64))
 
     def test_prelu_kappa_grad_zero_for_positive_input(self):
         from demosaick.tensor_core import prelu_backward

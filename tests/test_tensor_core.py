@@ -15,6 +15,7 @@ from demosaick.tensor_core import (
     conv_transpose2d,
     conv_transpose2d_backward,
     prelu,
+    prelu_backward,
     reflexive_pad,
     reflexive_pad_backward,
 )
@@ -229,6 +230,43 @@ class TestPrelu:
     def test_slope_length_mismatch(self):
         with pytest.raises(ShapeError):
             prelu(np.zeros((2, 2, 2)), np.ones(3))
+
+
+# The np.where PReLU kernels the in-place forward and the factor-form
+# backward replaced, kept as the reference.
+
+
+def _ref_prelu(x, slopes):
+    return np.maximum(x, 0.0) + slopes * np.minimum(x, 0.0)
+
+
+def _ref_prelu_backward(grad_out, x, slopes):
+    gx = np.where(x > 0, grad_out, slopes * grad_out)
+    gk = (np.minimum(x, 0.0) * grad_out).sum(axis=(0, 1))
+    return gx, gk
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("h,w,c", [(1, 1, 1), (3, 5, 2), (8, 8, 8), (7, 4, 17),
+                                   (32, 32, 3), (64, 64, 64)])
+def test_prelu_kernels_match_where_reference(h, w, c):
+    gen = rng(h * 1000 + w * 10 + c)
+    x = gen.normal(size=(h, w, c))
+    x.flat[::3] = 0.0
+    x.flat[1::5] = -0.0
+    grad = gen.normal(size=(h, w, c))
+    grad.flat[::7] = -0.0
+    slopes = gen.uniform(-1.0, 1.0, size=c)
+    slopes[::2] = 0.0  # +0.0 only: a -0.0 slope gives a +0.0 input gradient
+    for s in (slopes, np.abs(slopes), 0.0 - np.abs(slopes)):
+        assert np.array_equal(_bits(prelu(x, s)), _bits(_ref_prelu(x, s)))
+        got, want = prelu_backward(grad, x, s), _ref_prelu_backward(grad, x, s)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b))
 
 
 class TestClip:

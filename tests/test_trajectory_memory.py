@@ -1,0 +1,24 @@
+"""What a cascade trajectory keeps for backpropagation through time,
+measured by ``retained_bytes``, the measure behind the benchmark's
+``cascade.trajectory_mib``."""
+import numpy as np
+
+from demosaick.cascade import CascadeParams, demosaick_forward, init_schedule
+from demosaick.cfa import make_pattern, mosaic
+from demosaick.resdnet import init_resdnet
+
+
+def test_step_keeps_prelu_inputs_and_tail_input_only(spans):
+    D, F, K, H, W = 2, 8, 3, 16, 16
+    w, sigmas = init_schedule(K, 15.0, 1.0)
+    cp = CascadeParams(init_resdnet(D, seed=0, num_filters=F), w, sigmas)
+    gen = np.random.Generator(np.random.Philox(key=1))
+    y = mosaic(gen.uniform(0, 255, size=(H, W, 3)), make_pattern("bayer_rggb"))
+    _, traj = demosaick_forward(y, cp)
+
+    # per step: the 2D PReLU inputs and the tail input
+    f_channel = K * (2 * D + 1) * F * H * W * 8
+    # the K + 2 states, the observation, and per step the denoiser's
+    # input, its residual and its pre-clip output
+    three_channel = ((K + 2) + 1 + 3 * K) * 3 * H * W * 8
+    assert spans.retained_bytes(traj) == f_channel + three_channel + y.pattern.cell.nbytes
