@@ -15,7 +15,6 @@ from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .resdnet import (
     ResDNetParams,
-    denoiser_banks,
     filter_grads,
     init_resdnet,
     materialize_weights,
@@ -40,7 +39,6 @@ __all__ = [
     "data_consistency",
     "demosaick_backward",
     "demosaick_forward",
-    "denoiser_banks",
     "filter_grads",
     "init_resdnet",
     "init_schedule",

@@ -6,9 +6,10 @@ noise level. The backward pass sweeps the stored trajectory in reverse,
 accumulating gradients for the shared denoiser parameters, the
 extrapolation weights and the noise schedule.
 
-The denoiser's filters are shared by all K steps, so each pass
-materializes them once; the backward pass sums the K steps' filter
-gradients and takes them back through the materialization once.
+The denoiser's filters are shared by all K steps and materialized once
+per parameter set (``ConvParams.bank``); the backward pass sums the K
+steps' filter gradients and takes them back through the materialization
+once.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import numpy as np
 from .cfa import MosaicObservation, data_consistency
 from .resdnet import (
     ResDNetParams,
-    denoiser_banks,
     filter_grads,
     resdnet_backward,
     resdnet_forward,
@@ -86,11 +86,10 @@ def demosaick_forward(y: MosaicObservation, params: CascadeParams):
     x_cur = y.data.copy()
     states = [x_prev, x_cur]
     caches = []
-    banks = denoiser_banks(params.denoiser)
     for i in range(params.steps):
         u = x_cur + params.w[i] * (x_cur - x_prev)
         z = data_consistency(u, y)
-        x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser, banks)
+        x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
         caches.append(cache)
         states.append(x_next)
         x_prev, x_cur = x_cur, x_next
@@ -107,7 +106,6 @@ def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams
     y = traj.observation
     keep = 1.0 - y.mask  # (I - M)
 
-    banks = denoiser_banks(params.denoiser)
     summed = {}
     g_w = np.zeros(K)
     g_sig = np.zeros(K)
@@ -115,9 +113,7 @@ def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams
     g_cur = grad          # d loss / d x^(i+1)
     g_prev = np.zeros_like(grad)  # d loss / d x^(i)
     for i in reversed(range(K)):
-        g_z, step_grads, g_sigma = resdnet_backward(
-            g_cur, traj.caches[i], params.denoiser, banks
-        )
+        g_z, step_grads, g_sigma = resdnet_backward(g_cur, traj.caches[i], params.denoiser)
         for k, v in step_grads.items():
             if k in summed:
                 summed[k] += v

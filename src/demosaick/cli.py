@@ -18,7 +18,7 @@ from .cascade import CascadeParams, demosaick_forward
 from .cfa import PATTERN_NAMES, MosaicObservation, bilinear_demosaick, make_pattern, mosaic
 from .config import parse_config_file
 from .metrics import linrgb_to_srgb, psnr
-from .modelfile import ModelFormatError, load_model, save_model
+from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .pnm import FormatError, read_image, write_image
 from .resdnet import ResDNetParams, init_resdnet, parameter_breakdown, resdnet_forward
@@ -262,11 +262,8 @@ def cmd_eval(args) -> int:
         srgb = psnr(linrgb_to_srgb(truth), linrgb_to_srgb(est))
         return (base, lin, srgb, elapsed)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_one, pairs))
-    else:
-        rows = [run_one(item) for item in pairs]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        rows = list(pool.map(run_one, pairs))
     rows.sort(key=lambda r: r[0])
 
     def fmt(v):
@@ -326,10 +323,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ModelFormatError, FileNotFoundError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError and ModelFormatError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,15 +7,18 @@ and clips to [0, 255]. A forward pass keeps 2D + 1 F-channel arrays for the
 backward pass ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64
 patch at D=5, F=64): each PReLU's input and the tail input. The backward
 pass recomputes each PReLU output, 2D extra ``prelu`` calls and no
-convolution. All trainable tensors live in ResDNetParams;
-gradients are returned as a flat {name: array} dict: ``resdnet_backward``
-gives each layer's materialized-filter gradient, and ``filter_grads``
-turns those into the ``ResDNetParams.flatten`` entries.
+convolution. All trainable tensors live in ResDNetParams. Each layer's
+parameters materialize its filters on first use (``ConvParams.bank``), so
+every later pass over the same parameter set shares them. Gradients are
+returned as a flat {name: array} dict: ``resdnet_backward`` gives each
+layer's materialized-filter gradient, and ``filter_grads`` turns those
+into the ``ResDNetParams.flatten`` entries.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +36,10 @@ from .tensor_core import (
 )
 
 _NORM_TOL = 1e-12
+
+HEAD_KERNEL = 5    # head and tail filter size
+BLOCK_KERNEL = 3   # nonlinear block filter size
+CHANNELS = 3       # RGB input and output
 
 
 class DegenerateFilterError(ValueError):
@@ -116,21 +123,28 @@ def project_noise_backward(grad_out: np.ndarray, e: np.ndarray, sigma: float, ga
 
 
 def block_name(i: int) -> str:
-    """Name of the i-th nonlinear block's layer in flat dicts and banks."""
+    """Name of the i-th nonlinear block's layer in flat dicts and gradients."""
     return f"block{i:02d}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvParams:
+    """One convolution layer's parameters. Frozen because ``bank`` is
+    cached: build a new instance (``dataclasses.replace``) to change a
+    field, and do not write into the arrays."""
+
     u: np.ndarray      # raw filters (out, in, kh, kw)
     s: np.ndarray      # per-filter scales (out,)
     bias: np.ndarray
 
+    @cached_property
     def bank(self) -> FilterBank:
+        """The layer's FilterBank, materialized on first use and shared by
+        every later pass over these parameters."""
         return FilterBank(materialize_weights(self.u, self.s), self.bias)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockParams(ConvParams):
     kappa: np.ndarray = field(default=None)  # PReLU slopes, one per channel
 
@@ -192,14 +206,7 @@ class DenoiseCache:
     pre_clip: np.ndarray
 
 
-def init_resdnet(
-    depth: int,
-    seed: int,
-    num_filters: int = 64,
-    head_kernel: int = 5,
-    block_kernel: int = 3,
-    channels: int = 3,
-) -> ResDNetParams:
+def init_resdnet(depth: int, seed: int, num_filters: int = 64) -> ResDNetParams:
     """He-style initialization: raw filters ~ N(0, 2/fan_in), scales set to
     the actual centered-filter norms (so materialized filters equal the raw
     centered draw), PReLU slopes 0.25, biases and gamma zero."""
@@ -214,27 +221,21 @@ def init_resdnet(
         s = np.sqrt((w0 ** 2).sum(axis=(1, 2, 3)))
         return u, s
 
-    hu, hs = draw(num_filters, channels, head_kernel)
+    hu, hs = draw(num_filters, CHANNELS, HEAD_KERNEL)
     head = ConvParams(hu, hs, np.zeros(num_filters))
     blocks = []
     for _ in range(2 * depth):
-        bu, bs = draw(num_filters, num_filters, block_kernel)
+        bu, bs = draw(num_filters, num_filters, BLOCK_KERNEL)
         blocks.append(
             BlockParams(bu, bs, np.zeros(num_filters), np.full(num_filters, 0.25))
         )
-    tu, ts = draw(num_filters, channels, head_kernel)
-    tail = ConvParams(tu, ts, np.zeros(channels))
+    tu, ts = draw(num_filters, CHANNELS, HEAD_KERNEL)
+    tail = ConvParams(tu, ts, np.zeros(CHANNELS))
     return ResDNetParams(depth=depth, head=head, blocks=blocks, tail=tail, gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
-
-
-def denoiser_banks(params: ResDNetParams) -> dict:
-    """Every layer's FilterBank by name (see ``ResDNetParams.convs``),
-    materialized once, so a cascade pass can share them across its steps."""
-    return {name: conv.bank() for name, conv in params.convs().items()}
 
 
 def filter_grads(grads: dict, params: ResDNetParams) -> dict:
@@ -253,28 +254,24 @@ def filter_grads(grads: dict, params: ResDNetParams) -> dict:
     return out
 
 
-def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams, banks=None):
-    """Denoise ``x`` assuming noise level ``sigma``. Returns (output, cache).
-
-    ``banks`` is ``denoiser_banks(params)``, passed by a caller that reuses
-    it; when omitted it is built here. The output is the same either way."""
+def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
+    """Denoise ``x`` assuming noise level ``sigma``. Returns (output, cache)."""
     if x.ndim != 3 or x.shape[2] != params.head.u.shape[1]:
         raise ShapeError(f"expected (H, W, {params.head.u.shape[1]}) input, got {x.shape}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if banks is None:
-        banks = denoiser_banks(params)
-    h = conv2d(x, banks["head"])
+    h = conv2d(x, params.head.bank)
     block_pre = []
     for pair in range(params.depth):
         p = h
         for j in (0, 1):
             i = 2 * pair + j
             block_pre.append(h)
-            h = conv2d(prelu(h, params.blocks[i].kappa), banks[block_name(i)])
+            blk = params.blocks[i]
+            h = conv2d(prelu(h, blk.kappa), blk.bank)
         h = p + h
     tail_in = h
-    r = conv_transpose2d(h, banks["tail"])
+    r = conv_transpose2d(h, params.tail.bank)
     rp = project_noise(r, sigma, params.gamma)
     pre = x - rp
     out = clip(pre, 0.0, 255.0)
@@ -289,10 +286,8 @@ def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams, banks=No
     return out, cache
 
 
-def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams,
-                     banks: dict):
-    """Reverse-mode pass through the filters ``banks`` (``denoiser_banks(params)``).
-    Returns (grad_input, grad_params, grad_sigma).
+def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
+    """Reverse-mode pass. Returns (grad_input, grad_params, grad_sigma).
 
     grad_params holds each layer's ``<layer>.weights`` gradient (w.r.t. its
     materialized filters) in place of ``<layer>.u`` and ``<layer>.s``, so a
@@ -310,7 +305,7 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
     grads["gamma"] = np.asarray(g_gamma)
 
     g_h, grads["tail.weights"], grads["tail.bias"] = conv_transpose2d_backward(
-        g_r, cache.tail_in, banks["tail"]
+        g_r, cache.tail_in, params.tail.bank
     )
 
     for pair in reversed(range(params.depth)):
@@ -318,15 +313,15 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
         for j in (1, 0):
             i = 2 * pair + j
             p = block_name(i)
-            kappa = params.blocks[i].kappa
-            a = prelu(cache.block_pre[i], kappa)  # recomputed, not cached
-            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(
-                g_h, a, banks[p]
-            )
-            g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, cache.block_pre[i], kappa)
+            blk = params.blocks[i]
+            a = prelu(cache.block_pre[i], blk.kappa)  # recomputed, not cached
+            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(g_h, a, blk.bank)
+            g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, cache.block_pre[i], blk.kappa)
         g_h = g_h + g_p
 
-    g_in, grads["head.weights"], grads["head.bias"] = conv2d_backward(g_h, cache.x, banks["head"])
+    g_in, grads["head.weights"], grads["head.bias"] = conv2d_backward(
+        g_h, cache.x, params.head.bank
+    )
     g_x = g_x + g_in
     return g_x, grads, g_sigma
 
@@ -335,25 +330,23 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
 # parameter audit
 
 
-def parameter_breakdown(depth: int = 5, num_filters: int = 64, steps: int = 10,
-                        head_kernel: int = 5, block_kernel: int = 3,
-                        channels: int = 3) -> dict:
+def parameter_breakdown(depth: int = 5, num_filters: int = 64, steps: int = 10) -> dict:
     """Per-group trainable-scalar counts.
 
     The denoiser total counts raw filters, per-filter scales, biases, PReLU
     slopes and gamma; the cascade's extrapolation weights and noise schedule
     are listed separately.
     """
-    f, c = num_filters, channels
+    f, c = num_filters, CHANNELS
     head = {
-        "head.u": f * c * head_kernel ** 2,
+        "head.u": f * c * HEAD_KERNEL ** 2,
         "head.s": f,
         "head.bias": f,
     }
-    per_block = f * f * block_kernel ** 2 + 3 * f  # u + s + bias + kappa
+    per_block = f * f * BLOCK_KERNEL ** 2 + 3 * f  # u + s + bias + kappa
     blocks = {"blocks.total": 2 * depth * per_block}
     tail = {
-        "tail.u": f * c * head_kernel ** 2,
+        "tail.u": f * c * HEAD_KERNEL ** 2,
         "tail.s": f,
         "tail.bias": c,
     }

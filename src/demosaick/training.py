@@ -25,7 +25,6 @@ from .metrics import psnr
 from .modelfile import save_model
 from .resdnet import (
     ResDNetParams,
-    denoiser_banks,
     filter_grads,
     init_resdnet,
     resdnet_backward,
@@ -273,10 +272,9 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
     def patch_loss(p: ResDNetParams, patch, gen):
         sigma = float(gen.uniform(cfg.sigma_lo, cfg.sigma_hi))
         noisy = patch + sigma * gen.standard_normal(patch.shape)
-        banks = denoiser_banks(p)
-        den, cache = resdnet_forward(noisy, sigma, p, banks)
+        den, cache = resdnet_forward(noisy, sigma, p)
         value, g = loss(den, patch, "mse")
-        return value, filter_grads(resdnet_backward(g, cache, p, banks)[1], p)
+        return value, filter_grads(resdnet_backward(g, cache, p)[1], p)
 
     def evaluate(p: ResDNetParams, clean, noisy) -> float:
         return psnr(clean, resdnet_forward(noisy, cfg.sigma_hi, p)[0])

@@ -124,6 +124,24 @@ class TestReconstructionCommands:
         assert code == 0
         assert read_image(out).shape == (8, 8, 3)
 
+    @pytest.mark.parametrize("suffix", [".pgm", ".npy"])
+    @pytest.mark.parametrize("command", ["bilinear", "demosaick"])
+    def test_one_channel_raw_mosaic(self, clean_ppm, cascade_model, tmp_path, command, suffix):
+        """A one-channel raw mosaic reconstructs exactly like the
+        3-channel observation it stands for."""
+        _, img = clean_ppm
+        obs = mosaic(img, make_pattern("bayer_rggb")).data
+        raw, full = tmp_path / f"raw{suffix}", tmp_path / "full.npy"
+        write_image(raw, obs.sum(axis=2, keepdims=True))
+        np.save(full, obs)
+        model = ["--model", str(cascade_model)] if command == "demosaick" else []
+        ests = []
+        for path in (raw, full):
+            out = tmp_path / f"est_{path.stem}.npy"
+            assert main([command, str(path), *model, "--out", str(out)]) == 0
+            ests.append(read_image(out))
+        assert np.array_equal(ests[0], ests[1])
+
     def test_missing_model_is_usage_error(self, clean_ppm):
         path, _ = clean_ppm
         assert main(["demosaick", str(path)]) == 1

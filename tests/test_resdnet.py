@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from demosaick import resdnet
 from demosaick.gradcheck import check_resdnet
 from demosaick.resdnet import (
     DegenerateFilterError,
-    denoiser_banks,
     init_resdnet,
     materialize_weights,
     parameter_breakdown,
@@ -147,7 +147,7 @@ class TestParameterCount:
 class TestForward:
     def test_zero_tail_passes_input_through(self):
         p = init_resdnet(1, seed=0, num_filters=8)
-        p.tail.s = np.zeros_like(p.tail.s)
+        p.tail = replace(p.tail, s=np.zeros_like(p.tail.s))
         x = rng(2).uniform(10, 240, size=(8, 8, 3))
         out, cache = resdnet_forward(x, 5.0, p)
         assert np.allclose(out, np.clip(x, 0, 255))
@@ -194,9 +194,8 @@ class TestBackward:
     def test_zero_grad_out(self):
         p = init_resdnet(1, seed=8, num_filters=8)
         x = rng(9).uniform(20, 230, size=(8, 8, 3))
-        banks = denoiser_banks(p)
-        _, cache = resdnet_forward(x, 5.0, p, banks)
-        g_x, grads, g_sigma = resdnet_backward(np.zeros_like(x), cache, p, banks)
+        _, cache = resdnet_forward(x, 5.0, p)
+        g_x, grads, g_sigma = resdnet_backward(np.zeros_like(x), cache, p)
         assert np.all(g_x == 0.0) and g_sigma == 0.0
         assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
 
@@ -205,10 +204,9 @@ class TestBackward:
         input; each must equal, bit for bit, the one the forward pass fed
         to that block's conv2d."""
         p = init_resdnet(2, seed=11, num_filters=6)
-        for i, blk in enumerate(p.blocks):
-            blk.kappa = rng(12 + i).uniform(-0.5, 0.5, size=6)
+        p.blocks = [replace(blk, kappa=rng(12 + i).uniform(-0.5, 0.5, size=6))
+                    for i, blk in enumerate(p.blocks)]
         x = rng(16).uniform(0, 255, size=(9, 7, 3))
-        banks = denoiser_banks(p)
         acts, fed, grad_fed = [], [], []
 
         def recording(store, fn):
@@ -222,12 +220,12 @@ class TestBackward:
         monkeypatch.setattr(resdnet, "conv2d", recording(fed, resdnet.conv2d))
         monkeypatch.setattr(resdnet, "conv2d_backward",
                             recording(grad_fed, resdnet.conv2d_backward))
-        _, cache = resdnet_forward(x, 5.0, p, banks)
+        _, cache = resdnet_forward(x, 5.0, p)
         forward_acts = [out for _, out in acts]
         block_inputs = [args[0] for args, _ in fed[1:]]  # fed[0] is the head
         assert all(a is b for a, b in zip(block_inputs, forward_acts, strict=True))
         acts.clear()
-        resdnet_backward(rng(17).normal(size=x.shape), cache, p, banks)
+        resdnet_backward(rng(17).normal(size=x.shape), cache, p)
         recomputed = [out for _, out in acts]
         block_inputs = [args[1] for args, _ in grad_fed[:-1]]  # grad_fed[-1] is the head
         assert all(a is b for a, b in zip(block_inputs, recomputed, strict=True))

@@ -8,6 +8,8 @@ from demosaick.tensor_core import (
     DimensionError,
     FilterBank,
     ShapeError,
+    _pad_reflect,
+    _pad_reflect_adjoint,
     clip,
     clip_backward,
     conv2d,
@@ -54,6 +56,22 @@ class TestReflexivePad:
                     b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
                     lhs = (reflexive_pad(a, pad) * b).sum()
                     rhs = (a * reflexive_pad_backward(b, a.shape, pad)).sum()
+                    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
+
+    def test_adjoint_identity_pad_beyond_axis(self):
+        """conv2d pads an image narrower than its kernel radius by pad >= n,
+        which np.pad serves by reflecting again; the adjoint must follow.
+        reflexive_pad rejects these sizes, so this calls the private pair."""
+        gen = rng(10)
+        for n_h in range(1, 5):
+            for n_w in range(1, 5):
+                for pad in range(1, 6):
+                    if pad < min(n_h, n_w):
+                        continue
+                    a = gen.normal(size=(n_h, n_w, 2))
+                    b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
+                    lhs = (_pad_reflect(a, pad) * b).sum()
+                    rhs = (a * _pad_reflect_adjoint(b, n_h, n_w, pad)).sum()
                     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demosaick import resdnet
 from demosaick.cascade import init_schedule
 from demosaick.datagen import make_dataset
 from demosaick.resdnet import ResDNetParams, init_resdnet
@@ -229,3 +230,25 @@ class TestJoint:
         train_joint(images, init, cfg)
         ckpt = load_model(tmp_path / "ckpt.rdnc")
         assert ckpt.steps == cfg.steps
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "joint"])
+def test_filters_materialized_once_per_parameter_set(phase, monkeypatch):
+    """Each parameter set the loop visits, the initial one and one per Adam
+    step, materializes its 2D + 2 filter banks once: every patch of the
+    batch and the validation pass share them."""
+    cfg = TrainConfig(**{**SMOKE.__dict__, "epochs": 2})
+    images = make_dataset(6, seed=8, height=32, width=32)
+    calls = []
+    build = resdnet.materialize_weights
+
+    def counting(u, s):
+        calls.append(1)
+        return build(u, s)
+
+    monkeypatch.setattr(resdnet, "materialize_weights", counting)
+    if phase == "pretrain":
+        pretrain_denoiser(images, cfg)
+    else:
+        train_joint(images, init_resdnet(cfg.depth, cfg.seed, cfg.num_filters), cfg)
+    assert len(calls) == (2 * cfg.depth + 2) * (cfg.epochs * cfg.steps_per_epoch + 1)
