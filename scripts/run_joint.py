@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from demosaick.cascade import demosaick_forward
+from demosaick.cascade import demosaick
 from demosaick.cfa import bilinear_demosaick, make_pattern, mosaic
 from demosaick.datagen import make_dataset
 from demosaick.metrics import psnr
@@ -59,8 +59,7 @@ def main() -> None:
             patch_obs = patch
         obs = mosaic(patch_obs, pattern, sigma=args.train_sigma)
         bil.append(psnr(patch, bilinear_demosaick(obs)))
-        est, _ = demosaick_forward(obs, params)
-        casc.append(psnr(patch, est))
+        casc.append(psnr(patch, demosaick(obs, params)))
     print(f"held-out: bilinear {np.mean(bil):.2f} dB, cascade {np.mean(casc):.2f} dB, "
           f"margin {np.mean(casc) - np.mean(bil):+.2f} dB")
 

@@ -1,7 +1,14 @@
 """Joint demosaicking and denoising of raw CFA images via an unrolled
 majorization-minimization cascade around a residual denoising network."""
 
-from .cascade import CascadeParams, Trajectory, demosaick_backward, demosaick_forward, init_schedule
+from .cascade import (
+    CascadeParams,
+    Trajectory,
+    demosaick,
+    demosaick_backward,
+    demosaick_forward,
+    init_schedule,
+)
 from .cfa import (
     CfaPattern,
     MosaicObservation,
@@ -37,6 +44,7 @@ __all__ = [
     "add_noise",
     "bilinear_demosaick",
     "data_consistency",
+    "demosaick",
     "demosaick_backward",
     "demosaick_forward",
     "filter_grads",

@@ -2,9 +2,11 @@
 
 Each step extrapolates the two most recent estimates, re-imposes the
 observed CFA samples and runs the shared residual denoiser at that step's
-noise level. The backward pass sweeps the stored trajectory in reverse,
-accumulating gradients for the shared denoiser parameters, the
-extrapolation weights and the noise schedule.
+noise level. ``demosaick`` runs the steps for inference and keeps only the
+last two estimates. ``demosaick_forward`` runs the same steps and keeps
+every state and denoiser cache; the backward pass sweeps that trajectory
+in reverse, accumulating gradients for the shared denoiser parameters,
+the extrapolation weights and the noise schedule.
 
 The denoiser's filters are shared by all K steps and materialized once
 per parameter set (``ConvParams.bank``); the backward pass sums the K
@@ -80,16 +82,32 @@ def init_schedule(K: int, sigma_max: float, sigma_min: float):
     return w, sigmas
 
 
+def _step(i: int, x_prev, x_cur, y: MosaicObservation, params: CascadeParams):
+    """Cascade step i: extrapolate, re-impose the observed samples, denoise.
+    Returns (x^(i+1), the denoiser's cache)."""
+    u = x_cur + params.w[i] * (x_cur - x_prev)
+    z = data_consistency(u, y)
+    return resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
+
+
+def demosaick(y: MosaicObservation, params: CascadeParams) -> np.ndarray:
+    """Run the cascade for inference: the estimate only, with each step's
+    cache dropped when the step ends, so memory is one step's working set."""
+    x_prev, x_cur = np.zeros_like(y.data), y.data.copy()
+    for i in range(params.steps):
+        x_prev, x_cur = x_cur, _step(i, x_prev, x_cur, y, params)[0]
+    return x_cur
+
+
 def demosaick_forward(y: MosaicObservation, params: CascadeParams):
-    """Run the cascade. Returns (estimate, trajectory)."""
+    """Run the cascade keeping every step for BPTT. Returns (estimate,
+    trajectory)."""
     x_prev = np.zeros_like(y.data)
     x_cur = y.data.copy()
     states = [x_prev, x_cur]
     caches = []
     for i in range(params.steps):
-        u = x_cur + params.w[i] * (x_cur - x_prev)
-        z = data_consistency(u, y)
-        x_next, cache = resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
+        x_next, cache = _step(i, x_prev, x_cur, y, params)
         caches.append(cache)
         states.append(x_next)
         x_prev, x_cur = x_cur, x_next

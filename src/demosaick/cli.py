@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gc
-from .cascade import CascadeParams, demosaick_forward
+from .cascade import CascadeParams, demosaick
 from .cfa import PATTERN_NAMES, MosaicObservation, bilinear_demosaick, make_pattern, mosaic
 from .config import parse_config_file
 from .metrics import linrgb_to_srgb, psnr
@@ -162,7 +162,7 @@ def _read_observation(path, pattern_name: str) -> MosaicObservation:
 def cmd_demosaick(args) -> int:
     obs = _read_observation(args.input, args.pattern)
     params = _load_cascade(args)
-    est, _ = demosaick_forward(obs, params)
+    est = demosaick(obs, params)
     _check_finite(est, "estimate")
     out = args.out or "demosaicked.ppm"
     write_image(out, est)
@@ -255,7 +255,7 @@ def cmd_eval(args) -> int:
         if params is None:
             est = bilinear_demosaick(obs)
         else:
-            est, _ = demosaick_forward(obs, params)
+            est = demosaick(obs, params)
         elapsed = time.perf_counter() - start
         _check_finite(est, f"estimate for {base}")
         lin = psnr(truth, est)

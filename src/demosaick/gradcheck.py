@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cascade import CascadeParams, demosaick_backward, demosaick_forward, init_schedule
+from .cascade import (
+    CascadeParams,
+    demosaick,
+    demosaick_backward,
+    demosaick_forward,
+    init_schedule,
+)
 from .cfa import make_pattern, mosaic
 from .resdnet import (
     filter_grads,
@@ -235,8 +241,7 @@ def check_cascade(seed: int = 0, steps: int = 3) -> dict:
         f = dict(flat)
         f[key] = value
         p = CascadeParams.from_flat(f, params.depth)
-        o, _ = demosaick_forward(y, p)
-        return float((c * o).sum())
+        return float((c * demosaick(y, p)).sum())
 
     for key, val in flat.items():
         num = numerical_gradient(lambda a, k=key: run(k, a), val.copy())

@@ -4,13 +4,17 @@ Layout (all integers unsigned 32-bit little-endian, floats 32-bit LE):
 
     magic "RDNC" | version | depth D | steps K | array count
     then per array: name length | name bytes (utf-8) | rank | dims... | payload
+    then the zlib CRC-32 of every byte before it
 
 K = 0 marks a plain denoiser checkpoint without extrapolation weights or a
-noise schedule. Round trips are bit-exact at 32-bit precision.
+noise schedule. Round trips are bit-exact at 32-bit precision. Version 1
+files, written before the checksum trailer, are still read; a version 2
+file whose checksum does not match is rejected.
 """
 from __future__ import annotations
 
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,7 @@ from .cascade import CascadeParams
 from .resdnet import ResDNetParams
 
 MAGIC = b"RDNC"
-VERSION = 1
+VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -50,6 +54,7 @@ def save_model(params, path) -> None:
         out += struct.pack("<I", data.ndim)
         out += struct.pack(f"<{data.ndim}I", *data.shape)
         out += data.tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     Path(path).write_bytes(bytes(out))
 
 
@@ -70,8 +75,15 @@ def load_model(path):
         return vals
 
     version, depth, steps, count = take("<IIII")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ModelFormatError(f"unsupported format version {version}", offset=4)
+    if version == VERSION:
+        end = len(raw) - 4
+        if end < pos:
+            raise ModelFormatError("truncated file", offset=len(raw))
+        if zlib.crc32(raw[:end]) != struct.unpack_from("<I", raw, end)[0]:
+            raise ModelFormatError("checksum mismatch", offset=end)
+        raw = raw[:end]
     arrays = {}
     for _ in range(count):
         (nlen,) = take("<I")

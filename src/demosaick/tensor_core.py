@@ -6,16 +6,21 @@ implements the exact adjoint (reverse-mode gradient) given the gradient of
 the loss w.r.t. the op's output and the cached forward inputs.
 
 Convolutions use the correlation convention (no kernel flip) and reflexive
-padding so the spatial size is always preserved. All four convolution
-kernels (conv2d, conv_transpose2d and their backward passes) are one
-lowering: ``_im2col`` turns the padded image into a matrix of k x k
-patches, one row per pixel, so each kernel is a matrix product with the
-(k*k*in, out) filter matrix. ``_col2im`` is the exact adjoint of that
-product and works channel-major: one GEMM gives, for every patch offset
-(i, j), a (C, H*Wp) block laid out on rows of the padded width Wp, so the
-block is added to the flat (C, Hp*Wp) padded grid as one contiguous slice
-at offset i*Wp + j; the grid is then transposed back and its border folded
-onto the pixels it mirrors.
+padding so the spatial size is always preserved. The pad is slice copies:
+the centre, then the reversed border columns and rows. Its adjoint is
+slice folds: a copy of the centre plus each reversed border band, rows
+first. A pad wider than the image mirrors in rounds of at most n - 1 rows
+and a 1-px axis replicates, so one pair serves every size.
+
+All four convolution kernels (conv2d, conv_transpose2d and their backward
+passes) are one lowering: ``_im2col`` turns the padded image into a matrix
+of k x k patches, one row per pixel, so each kernel is a matrix product
+with the (k*k*in, out) filter matrix. ``_col2im`` is the exact adjoint of
+that product and works channel-major: one GEMM gives, for every patch
+offset (i, j), a (C, H*Wp) block laid out on rows of the padded width Wp,
+so the block is added to the flat (C, Hp*Wp) padded grid as one contiguous
+slice at offset i*Wp + j; the grid is then transposed back and its border
+folded onto the pixels it mirrors. Biases are added in place.
 """
 from __future__ import annotations
 
@@ -70,26 +75,86 @@ class FilterBank:
 # reflexive padding
 
 
+def _rounds(n: int, pad: int) -> list:
+    """The rounds in which reflect padding fills ``pad`` rows on each end of
+    an axis of ``n >= 2`` rows, as ``(lo, hi, c)``: rows [lo, hi) are filled
+    before the round, which mirrors c <= n - 1 rows about each end. So a pad
+    wider than the axis reflects again, as numpy's ``reflect`` mode does."""
+    rounds = []
+    lo, hi = pad, pad + n
+    while lo > 0:
+        c = min(n - 1, lo)
+        rounds.append((lo, hi, c))
+        lo, hi = lo - c, hi + c
+    return rounds
+
+
+def _mirror(a: np.ndarray, n: int, pad: int) -> None:
+    """Fill the ``pad`` rows on each end of ``a`` (n + 2*pad rows along
+    axis 0, centre rows set) with the reflection of the centre, in place.
+    A 1-px axis replicates."""
+    if n == 1:
+        a[:pad] = a[pad]
+        a[pad + 1 :] = a[pad]
+        return
+    for lo, hi, c in _rounds(n, pad):
+        a[lo - c : lo] = a[lo + 1 : lo + c + 1][::-1]
+        a[hi : hi + c] = a[hi - c - 1 : hi - 1][::-1]
+
+
+def _fold(g: np.ndarray, n: int, pad: int, axis: int) -> np.ndarray:
+    """Adjoint of ``_mirror`` along ``axis``: a C-contiguous copy of the
+    centre of ``g`` plus each border row added onto the centre row it
+    copies. The adds run band by band in row order, so every sum is the
+    one that adding the border rows singly, first to last, gives.
+    ``g`` is not changed."""
+    g = g.swapaxes(0, axis)  # views with the fold axis first
+    out = g[pad : pad + n].swapaxes(0, axis).copy()
+    o = out.swapaxes(0, axis)
+    if n == 1:
+        for i in (*range(pad), *range(pad + 1, n + 2 * pad)):
+            o[0] += g[i]
+        return out
+    # Round r's first-end band copies centre rows 1..c reversed when r is
+    # even (a reflection) and rows n-1-c..n-2 in order when r is odd (a
+    # reflection of a reflection); its second-end band copies rows
+    # n-1-c..n-2 reversed when r is even and rows 1..c in order when odd.
+    rounds = _rounds(n, pad)
+    for r in reversed(range(len(rounds))):
+        lo, _, c = rounds[r]
+        band = g[lo - c : lo]
+        if r % 2:
+            o[n - 1 - c : n - 1] += band
+        else:
+            o[1 : c + 1] += band[::-1]
+    for r, (_, hi, c) in enumerate(rounds):
+        band = g[hi : hi + c]
+        if r % 2:
+            o[1 : c + 1] += band
+        else:
+            o[n - 1 - c : n - 1] += band[::-1]
+    return out
+
+
 def _pad_reflect(x: np.ndarray, pad: int) -> np.ndarray:
+    """Mirror-pad (H, W, C) by ``pad`` on every side: a copy of the centre,
+    then the mirrored columns of the centre rows, then the mirrored rows."""
     if pad == 0:
         return x
-    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
+    H, W, C = x.shape
+    xp = np.empty((H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
+    xp[pad : pad + H, pad : pad + W] = x
+    _mirror(xp[pad : pad + H].swapaxes(0, 1), W, pad)
+    _mirror(xp, H, pad)
+    return xp
 
 
 def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_pad_reflect``: per axis, keep the centre and add each
-    border row (then column) onto the one it mirrors."""
+    """Adjoint of ``_pad_reflect``: fold the border rows, then the border
+    columns, onto the pixels they mirror. Returns a C-contiguous array."""
     if pad == 0:
         return gp.copy()
-    rows = np.pad(np.arange(n_h), pad, mode="reflect")
-    cols = np.pad(np.arange(n_w), pad, mode="reflect")
-    tmp = gp[pad : pad + n_h].copy()
-    for i in [*range(pad), *range(pad + n_h, n_h + 2 * pad)]:
-        tmp[rows[i]] += gp[i]
-    out = tmp[:, pad : pad + n_w].copy()
-    for j in [*range(pad), *range(pad + n_w, n_w + 2 * pad)]:
-        out[:, cols[j]] += tmp[:, j]
-    return out
+    return _fold(_fold(gp, n_h, pad, axis=0), n_w, pad, axis=1)
 
 
 def reflexive_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -169,8 +234,9 @@ def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
-    y = _im2col(x, w.shape[2]) @ _filter_matrix(w)
-    return y.reshape(x.shape[0], x.shape[1], -1) + filters.bias
+    y = (_im2col(x, w.shape[2]) @ _filter_matrix(w)).reshape(x.shape[0], x.shape[1], -1)
+    y += filters.bias
+    return y
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):
@@ -198,7 +264,9 @@ def conv_transpose2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         )
     if filters.bias.shape != (filters.in_channels,):
         raise ShapeError("conv_transpose2d bias must have length in_channels")
-    return _col2im(x, w) + filters.bias
+    y = _col2im(x, w)
+    y += filters.bias
+    return y
 
 
 def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):

@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import CascadeParams, demosaick_backward, demosaick_forward, init_schedule
+from .cascade import (
+    CascadeParams,
+    demosaick,
+    demosaick_backward,
+    demosaick_forward,
+    init_schedule,
+)
 from .cfa import make_pattern, mosaic
 from .metrics import psnr
 from .modelfile import save_model
@@ -316,7 +322,7 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
         return value, demosaick_backward(g, traj, cp)
 
     def evaluate(cp: CascadeParams, clean, obs) -> float:
-        return psnr(clean, demosaick_forward(obs, cp)[0])
+        return psnr(clean, demosaick(obs, cp))
 
     w, sigmas = init_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
     flat = {**denoiser_init.flatten(), "cascade.w": w, "cascade.sigmas": sigmas}

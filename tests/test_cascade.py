@@ -5,6 +5,7 @@ import pytest
 
 from demosaick.cascade import (
     CascadeParams,
+    demosaick,
     demosaick_backward,
     demosaick_forward,
     init_schedule,
@@ -102,6 +103,14 @@ class TestForward:
         a, _ = demosaick_forward(y, cp)
         b, _ = demosaick_forward(y, cp)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("pattern,h,w", [("bayer_rggb", 8, 8), ("xtrans", 13, 7),
+                                             ("bayer_gbrg", 2, 3)])
+    def test_inference_equals_forward_bitwise(self, pattern, h, w):
+        cp = _small_cascade(steps=4, seed=14, shift_w=0.1)
+        y = mosaic(rng(15).uniform(0, 255, size=(h, w, 3)), make_pattern(pattern))
+        assert np.array_equal(demosaick(y, cp).view(np.int64),
+                              demosaick_forward(y, cp)[0].view(np.int64))
 
 
 class TestBackward:

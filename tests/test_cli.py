@@ -160,6 +160,32 @@ class TestReconstructionCommands:
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
         assert main(["demosaick", str(path), "--model", str(bad)]) == 2
 
+    # Images smaller than the 5x5 head kernel pad by as much as or more than
+    # their size (several mirror rounds; a 1-px axis replicates). Bilinear
+    # needs a sample of every channel inside its widest window.
+    @pytest.mark.parametrize("pattern,no_samples", [
+        ("bayer_rggb", {(1, 1), (1, 6), (6, 1)}),
+        ("xtrans", {(1, 1)}),
+    ])
+    def test_tiny_and_odd_images(self, cascade_model, tmp_path, capsys, pattern, no_samples):
+        for h, w in [(1, 1), (1, 6), (6, 1), (2, 2), (2, 3), (3, 5), (7, 2)]:
+            obs = tmp_path / f"obs_{h}x{w}.npy"
+            np.save(obs, mosaic(rng(h * 10 + w).uniform(0, 255, size=(h, w, 3)),
+                                make_pattern(pattern)).data)
+            out = tmp_path / f"est_{h}x{w}.npy"
+            assert main(["demosaick", str(obs), "--pattern", pattern, "--model",
+                         str(cascade_model), "--out", str(out)]) == 0, (h, w)
+            est = np.load(out)
+            assert est.shape == (h, w, 3)
+            assert np.all(np.isfinite(est)) and est.min() >= 0.0 and est.max() <= 255.0
+            capsys.readouterr()
+            code = main(["bilinear", str(obs), "--pattern", pattern, "--out", str(out)])
+            if (h, w) in no_samples:
+                assert code == 2, (h, w)
+                assert "channel has no samples to interpolate from" in capsys.readouterr().err
+            else:
+                assert code == 0, (h, w)
+
     def test_non_finite_input_is_numeric_failure(self, tmp_path):
         obs = tmp_path / "nan.npy"
         data = np.zeros((8, 8, 3))

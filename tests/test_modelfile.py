@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,13 @@ import pytest
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.modelfile import MAGIC, ModelFormatError, load_model, save_model
 from demosaick.resdnet import ResDNetParams, init_resdnet
+
+
+def reseal(raw: bytearray) -> bytes:
+    """Replace the checksum trailer of an edited version-2 file, so the
+    check under test is reached."""
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    return bytes(raw)
 
 
 def small_cascade(seed=0, steps=3):
@@ -53,7 +61,7 @@ def test_header_fields(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
     version, depth, steps, count = struct.unpack_from("<IIII", raw, 4)
-    assert (version, depth, steps) == (1, 1, 5)
+    assert (version, depth, steps) == (2, 1, 5)
     assert count == len(params.flatten())
 
 
@@ -89,7 +97,7 @@ def test_depth_without_its_arrays(tmp_path):
     save_model(init_resdnet(1, seed=7, num_filters=4), path)
     raw = bytearray(path.read_bytes())
     struct.pack_into("<I", raw, 8, 2)  # header says depth 2, arrays hold depth 1
-    path.write_bytes(bytes(raw))
+    path.write_bytes(reseal(raw))
     with pytest.raises(ModelFormatError, match="block02"):
         load_model(path)
 
@@ -99,7 +107,7 @@ def test_arrays_beyond_header_depth(tmp_path):
     save_model(init_resdnet(2, seed=7, num_filters=4), path)
     raw = bytearray(path.read_bytes())
     struct.pack_into("<I", raw, 8, 1)  # header says depth 1, arrays hold depth 2
-    path.write_bytes(bytes(raw))
+    path.write_bytes(reseal(raw))
     with pytest.raises(ModelFormatError, match="unexpected array 'block02.u'"):
         load_model(path)
 
@@ -111,6 +119,62 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def test_checksum_trailer(tmp_path):
+    path = tmp_path / "c.rdnc"
+    save_model(small_cascade(seed=8), path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, len(raw) - 4)[0] == zlib.crc32(raw[:-4])
+
+
+def test_every_sampled_byte_flip_is_rejected(tmp_path):
+    """A flipped byte anywhere, header, payload or trailer, raises instead
+    of loading silently changed weights."""
+    path = tmp_path / "f.rdnc"
+    save_model(small_cascade(seed=9, steps=2), path)
+    raw = path.read_bytes()
+    gen = np.random.Generator(np.random.Philox(key=10))
+    offsets = gen.choice(len(raw), size=200, replace=False)
+    for offset, xor in zip(offsets, gen.integers(1, 256, size=200)):
+        bad = bytearray(raw)
+        bad[offset] ^= int(xor)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+def test_checksum_mismatch_is_a_data_error(tmp_path, capsys):
+    from demosaick.cli import main
+
+    path = tmp_path / "m.rdnc"
+    save_model(small_cascade(seed=11), path)
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x40
+    path.write_bytes(bytes(raw))
+    obs = tmp_path / "obs.npy"
+    np.save(obs, np.zeros((4, 4, 3)))
+    out = tmp_path / "o.npy"
+    assert main(["demosaick", str(obs), "--model", str(path), "--out", str(out)]) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_version_1_file_loads_unchanged(tmp_path):
+    """A file in the format before the checksum trailer: version 1, no
+    trailer."""
+    params = small_cascade(seed=12)
+    path = tmp_path / "v2.rdnc"
+    save_model(params, path)
+    raw = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", raw, 4, 1)
+    old = tmp_path / "v1.rdnc"
+    old.write_bytes(bytes(raw))
+    back = load_model(old)
+    assert isinstance(back, CascadeParams)
+    a, b = load_model(path).flatten(), back.flatten()
+    assert set(a) == set(b)
+    for k in a:
+        assert np.array_equal(a[k], b[k]), k
 
 
 def test_unserializable_type():

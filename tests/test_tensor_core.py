@@ -8,6 +8,7 @@ from demosaick.tensor_core import (
     DimensionError,
     FilterBank,
     ShapeError,
+    _col2im,
     _pad_reflect,
     _pad_reflect_adjoint,
     clip,
@@ -60,12 +61,13 @@ class TestReflexivePad:
 
     def test_adjoint_identity_pad_beyond_axis(self):
         """conv2d pads an image narrower than its kernel radius by pad >= n,
-        which np.pad serves by reflecting again; the adjoint must follow.
+        which the pad serves by reflecting again (in rounds of at most n - 1
+        rows, as np.pad does); the adjoint must follow.
         reflexive_pad rejects these sizes, so this calls the private pair."""
         gen = rng(10)
-        for n_h in range(1, 5):
-            for n_w in range(1, 5):
-                for pad in range(1, 6):
+        for n_h in range(1, 9):
+            for n_w in range(1, 9):
+                for pad in range(1, 9):
                     if pad < min(n_h, n_w):
                         continue
                     a = gen.normal(size=(n_h, n_w, 2))
@@ -73,6 +75,74 @@ class TestReflexivePad:
                     lhs = (_pad_reflect(a, pad) * b).sum()
                     rhs = (a * _pad_reflect_adjoint(b, n_h, n_w, pad)).sum()
                     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
+
+
+# np.pad's reflect mode and the index-map fold the slice kernels replaced,
+# kept as the reference.
+
+
+def _np_pad(x, pad):
+    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)), mode="reflect")
+
+
+def _index_map_fold(gp, n_h, n_w, pad):
+    if pad == 0:
+        return gp.copy()
+    rows = np.pad(np.arange(n_h), pad, mode="reflect")
+    cols = np.pad(np.arange(n_w), pad, mode="reflect")
+    tmp = gp[pad : pad + n_h].copy()
+    for i in [*range(pad), *range(pad + n_h, n_h + 2 * pad)]:
+        tmp[rows[i]] += gp[i]
+    out = tmp[:, pad : pad + n_w].copy()
+    for j in [*range(pad), *range(pad + n_w, n_w + 2 * pad)]:
+        out[:, cols[j]] += tmp[:, j]
+    return out
+
+
+# every size up to 8x8 and every pad up to 8, the widest _box_sum window
+PAD_SIZES = [(h, w, pad) for h in range(1, 9) for w in range(1, 9) for pad in range(9)]
+
+
+def test_pad_matches_np_pad_bitwise():
+    gen = rng(12)
+    for h, w, pad in PAD_SIZES:
+        for c in (1, 3):
+            x = gen.normal(size=(h, w, c))
+            got, want = _pad_reflect(x, pad), _np_pad(x, pad)
+            assert np.array_equal(_bits(got), _bits(want)), (h, w, pad, c)
+
+
+def test_pad_adjoint_matches_index_map_fold():
+    """Bitwise equal to the reference fold, pad >= n included, on the
+    channel-major transposed layout ``_col2im`` passes."""
+    gen = rng(13)
+    for h, w, pad in PAD_SIZES:
+        for c in (1, 3):
+            gp = gen.normal(size=(c, h + 2 * pad, w + 2 * pad)).transpose(1, 2, 0)
+            got = _pad_reflect_adjoint(gp, h, w, pad)
+            assert got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(_index_map_fold(gp, h, w, pad))), (h, w, pad, c)
+
+
+@pytest.mark.parametrize("h,w,cin,cout,k", [(1, 1, 1, 2, 3), (7, 5, 2, 3, 1), (2, 3, 3, 4, 5),
+                                            (32, 32, 8, 8, 3)])
+def test_kernels_return_c_contiguous(h, w, cin, cout, k):
+    """A transposed result has the right values but is summed in another
+    order downstream (the bias gradient), which moves trained models in
+    the last bit. ``_pad_reflect_adjoint`` is checked with its reference."""
+    gen = rng(14)
+    x, y = gen.normal(size=(h, w, cin)), gen.normal(size=(h, w, cout))
+    weights = gen.normal(size=(cout, cin, k, k))
+    fwd, tr = FilterBank(weights, np.zeros(cout)), FilterBank(weights, np.zeros(cin))
+    results = {
+        "_col2im": _col2im(y, weights),
+        "conv2d": conv2d(x, fwd),
+        "conv2d_backward": conv2d_backward(y, x, fwd)[0],
+        "conv_transpose2d": conv_transpose2d(y, tr),
+        "conv_transpose2d_backward": conv_transpose2d_backward(x, y, tr)[0],
+    }
+    for name, a in results.items():
+        assert a.flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("kh,kw", [(3, 5), (4, 4)])

@@ -1,9 +1,12 @@
 """What a cascade trajectory keeps for backpropagation through time,
 measured by ``retained_bytes``, the measure behind the benchmark's
-``cascade.trajectory_mib``."""
+``cascade.trajectory_mib``, and what inference keeps: nothing past the
+step it is in."""
+import tracemalloc
+
 import numpy as np
 
-from demosaick.cascade import CascadeParams, demosaick_forward, init_schedule
+from demosaick.cascade import CascadeParams, demosaick, demosaick_forward, init_schedule
 from demosaick.cfa import make_pattern, mosaic
 from demosaick.resdnet import init_resdnet
 
@@ -22,3 +25,30 @@ def test_step_keeps_prelu_inputs_and_tail_input_only(spans):
     # input, its residual and its pre-clip output
     three_channel = ((K + 2) + 1 + 3 * K) * 3 * H * W * 8
     assert spans.retained_bytes(traj) == f_channel + three_channel + y.pattern.cell.nbytes
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_holds_one_step(spans):
+    """The peak of a K-step ``demosaick`` stays within half a step's cache
+    of a one-step cascade's peak, one step's working set; a cache kept
+    across steps adds a whole one per step."""
+    D, F, K, H, W = 2, 8, 6, 32, 32
+    w, sigmas = init_schedule(K, 15.0, 1.0)
+    den = init_resdnet(D, seed=0, num_filters=F)
+    cp, one = CascadeParams(den, w, sigmas), CascadeParams(den, w[:1], sigmas[:1])
+    gen = np.random.Generator(np.random.Philox(key=2))
+    y = mosaic(gen.uniform(0, 255, size=(H, W, 3)), make_pattern("bayer_rggb"))
+    demosaick(y, cp)  # materialize the shared filters outside the measurement
+
+    step_cache = (2 * D + 1) * F * H * W * 8
+    bound = _peak_bytes(lambda: demosaick(y, one)) + step_cache // 2
+    assert _peak_bytes(lambda: demosaick(y, cp)) <= bound
+    assert _peak_bytes(lambda: demosaick_forward(y, cp)) > bound + (K - 2) * step_cache
