@@ -79,7 +79,10 @@ def _rounds(n: int, pad: int) -> list:
     """The rounds in which reflect padding fills ``pad`` rows on each end of
     an axis of ``n >= 2`` rows, as ``(lo, hi, c)``: rows [lo, hi) are filled
     before the round, which mirrors c <= n - 1 rows about each end. So a pad
-    wider than the axis reflects again, as numpy's ``reflect`` mode does."""
+    wider than the axis reflects again, as numpy's ``reflect`` mode does.
+    An empty axis has nothing to mirror and raises ``DimensionError``."""
+    if n < 1:
+        raise DimensionError(f"cannot reflect-pad an empty axis by {pad}")
     rounds = []
     lo, hi = pad, pad + n
     while lo > 0:

@@ -186,6 +186,21 @@ class TestReconstructionCommands:
             else:
                 assert code == 0, (h, w)
 
+    # An empty axis cannot be mirror-padded: a data error, not a hang.
+    def test_empty_images_are_data_errors(self, cascade_model, tmp_path, capsys):
+        paths = []
+        for h, w in [(0, 4), (4, 0)]:
+            paths.append(tmp_path / f"empty_{h}x{w}.npy")
+            np.save(paths[-1], np.zeros((h, w)))
+        paths.append(tmp_path / "empty.pgm")
+        paths[-1].write_bytes(b"P5\n0 4\n255\n")
+        for path in paths:
+            for argv in (["demosaick", str(path), "--model", str(cascade_model)],
+                         ["bilinear", str(path)]):
+                capsys.readouterr()
+                assert main(argv + ["--out", str(tmp_path / "est.npy")]) == 2, argv
+                assert "cannot reflect-pad an empty axis" in capsys.readouterr().err
+
     def test_non_finite_input_is_numeric_failure(self, tmp_path):
         obs = tmp_path / "nan.npy"
         data = np.zeros((8, 8, 3))
@@ -242,6 +257,14 @@ class TestEvalCommand:
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["eval", str(d), "--method", "bilinear"]) == 2
+
+    @pytest.mark.parametrize("method", ["bilinear", "model"])
+    def test_empty_image_is_data_error(self, tmp_path, cascade_model, method):
+        d = tmp_path / "empty"
+        d.mkdir()
+        (d / "x_truth.ppm").write_bytes(b"P6\n4 0\n255\n")
+        np.save(d / "x_input.npy", np.zeros((0, 4)))
+        assert main(["eval", str(d), "--method", method, "--model", str(cascade_model)]) == 2
 
     def test_missing_observation(self, tmp_path):
         d = tmp_path / "half"

@@ -124,6 +124,20 @@ def test_pad_adjoint_matches_index_map_fold():
             assert np.array_equal(_bits(got), _bits(_index_map_fold(gp, h, w, pad))), (h, w, pad, c)
 
 
+@pytest.mark.parametrize("h,w", [(0, 4), (4, 0), (0, 0)])
+def test_empty_axis_is_rejected(h, w):
+    """An empty axis has nothing to mirror: both kernels raise, as np.pad
+    does, and a zero pad passes the image through, as np.pad does."""
+    x = np.zeros((h, w, 2))
+    for pad in (1, 2, 8):
+        gp = np.zeros((h + 2 * pad, w + 2 * pad, 2))
+        for call in (lambda: _pad_reflect(x, pad), lambda: reflexive_pad(x, pad),
+                     lambda: _pad_reflect_adjoint(gp, h, w, pad)):
+            with pytest.raises(DimensionError):
+                call()
+    assert _pad_reflect(x, 0).shape == _pad_reflect_adjoint(x, h, w, 0).shape == (h, w, 2)
+
+
 @pytest.mark.parametrize("h,w,cin,cout,k", [(1, 1, 1, 2, 3), (7, 5, 2, 3, 1), (2, 3, 3, 4, 5),
                                             (32, 32, 8, 8, 3)])
 def test_kernels_return_c_contiguous(h, w, cin, cout, k):
