@@ -39,7 +39,7 @@ def main() -> None:
     cfg = TrainConfig(
         phase="joint", patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
         epochs=args.epochs, steps_per_epoch=args.steps_per_epoch,
-        depth=denoiser.depth, num_filters=denoiser.num_filters, seed=args.seed,
+        num_filters=denoiser.num_filters, seed=args.seed,
         steps=args.cascade_steps, sigma_max=15.0, sigma_min=1.0,
         train_sigma=args.train_sigma, pattern=args.pattern, log_path=args.log,
     )

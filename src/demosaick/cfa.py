@@ -66,16 +66,24 @@ class CfaPattern:
 @dataclass(frozen=True)
 class MosaicObservation:
     """3-channel tensor with unsampled entries exactly zero, plus the
-    pattern that produced it and the noise level of the measurements."""
+    pattern that produced it and the noise level of the measurements.
+
+    ``data`` is masked on construction, so a 3-channel image or a
+    one-channel raw mosaic (broadcast to 3 channels) may be passed as is;
+    masking data that is already masked changes no bit."""
 
     data: np.ndarray
     pattern: CfaPattern
     sigma: float = 0.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "data", self.data * self.mask)
+
     @cached_property
     def mask(self) -> np.ndarray:
-        """The pattern's (H, W, 3) mask at the data's size, built on first
-        use and shared read-only by every later reader."""
+        """The pattern's (H, W, 3) mask at the data's size, built once (on
+        construction, to mask the data) and shared read-only by every
+        later reader."""
         m = self.pattern.mask(self.data.shape[0], self.data.shape[1])
         m.flags.writeable = False
         return m
@@ -96,8 +104,7 @@ def mosaic(image: np.ndarray, pattern: CfaPattern, sigma: float = 0.0) -> Mosaic
     check_image(image)
     if image.shape[2] != 3:
         raise ShapeError(f"mosaic expects 3 channels, got {image.shape[2]}")
-    m = pattern.mask(image.shape[0], image.shape[1])
-    return MosaicObservation(data=image * m, pattern=pattern, sigma=sigma)
+    return MosaicObservation(data=image, pattern=pattern, sigma=sigma)
 
 
 def data_consistency(u: np.ndarray, y: MosaicObservation) -> np.ndarray:

@@ -153,10 +153,7 @@ def cmd_mosaic(args) -> int:
 
 
 def _read_observation(path, pattern_name: str) -> MosaicObservation:
-    data = read_image(path)
-    pattern = make_pattern(pattern_name)
-    mask = pattern.mask(data.shape[0], data.shape[1])
-    return MosaicObservation(data=data * mask, pattern=pattern)
+    return MosaicObservation(data=read_image(path), pattern=make_pattern(pattern_name))
 
 
 def cmd_demosaick(args) -> int:

@@ -6,11 +6,12 @@ implements the exact adjoint (reverse-mode gradient) given the gradient of
 the loss w.r.t. the op's output and the cached forward inputs.
 
 Convolutions use the correlation convention (no kernel flip) and reflexive
-padding so the spatial size is always preserved. The pad is slice copies:
-the centre, then the reversed border columns and rows. Its adjoint is
-slice folds: a copy of the centre plus each reversed border band, rows
-first. A pad wider than the image mirrors in rounds of at most n - 1 rows
-and a 1-px axis replicates, so one pair serves every size.
+padding so the spatial size is always preserved. One cached map of
+border rows per axis, numpy's ``reflect`` mode in closed form (period
+2(n - 1); a 1-px axis replicates), drives both the pad and its adjoint,
+so one pair serves every size. The pad copies the centre, then each
+border column and row; the adjoint copies the centre and adds each border
+row, then each border column, onto the one it copies, first to last.
 
 All four convolution kernels (conv2d, conv_transpose2d and their backward
 passes) are one lowering: ``_im2col`` turns the padded image into a matrix
@@ -25,6 +26,7 @@ folded onto the pixels it mirrors. Biases are added in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,108 +77,55 @@ class FilterBank:
 # reflexive padding
 
 
-def _rounds(n: int, pad: int) -> list:
-    """The rounds in which reflect padding fills ``pad`` rows on each end of
-    an axis of ``n >= 2`` rows, as ``(lo, hi, c)``: rows [lo, hi) are filled
-    before the round, which mirrors c <= n - 1 rows about each end. So a pad
-    wider than the axis reflects again, as numpy's ``reflect`` mode does.
-    An empty axis has nothing to mirror and raises ``DimensionError``."""
+@lru_cache(maxsize=None)
+def _border_rows(n: int, pad: int) -> tuple:
+    """(padded row, centre row it copies) for the 2*pad border rows of an
+    axis of n rows padded by ``pad`` on each end, first to last. This is
+    numpy's ``reflect`` mode in closed form: the padded rows repeat the
+    centre with period 2(n - 1), so a pad wider than the axis reflects
+    again, and a 1-px axis (period 1) replicates. An empty axis has
+    nothing to mirror and raises ``DimensionError``."""
     if n < 1:
         raise DimensionError(f"cannot reflect-pad an empty axis by {pad}")
-    rounds = []
-    lo, hi = pad, pad + n
-    while lo > 0:
-        c = min(n - 1, lo)
-        rounds.append((lo, hi, c))
-        lo, hi = lo - c, hi + c
-    return rounds
-
-
-def _mirror(a: np.ndarray, n: int, pad: int) -> None:
-    """Fill the ``pad`` rows on each end of ``a`` (n + 2*pad rows along
-    axis 0, centre rows set) with the reflection of the centre, in place.
-    A 1-px axis replicates."""
-    if n == 1:
-        a[:pad] = a[pad]
-        a[pad + 1 :] = a[pad]
-        return
-    for lo, hi, c in _rounds(n, pad):
-        a[lo - c : lo] = a[lo + 1 : lo + c + 1][::-1]
-        a[hi : hi + c] = a[hi - c - 1 : hi - 1][::-1]
-
-
-def _fold(g: np.ndarray, n: int, pad: int, axis: int) -> np.ndarray:
-    """Adjoint of ``_mirror`` along ``axis``: a C-contiguous copy of the
-    centre of ``g`` plus each border row added onto the centre row it
-    copies. The adds run band by band in row order, so every sum is the
-    one that adding the border rows singly, first to last, gives.
-    ``g`` is not changed."""
-    g = g.swapaxes(0, axis)  # views with the fold axis first
-    out = g[pad : pad + n].swapaxes(0, axis).copy()
-    o = out.swapaxes(0, axis)
-    if n == 1:
-        for i in (*range(pad), *range(pad + 1, n + 2 * pad)):
-            o[0] += g[i]
-        return out
-    # Round r's first-end band copies centre rows 1..c reversed when r is
-    # even (a reflection) and rows n-1-c..n-2 in order when r is odd (a
-    # reflection of a reflection); its second-end band copies rows
-    # n-1-c..n-2 reversed when r is even and rows 1..c in order when odd.
-    rounds = _rounds(n, pad)
-    for r in reversed(range(len(rounds))):
-        lo, _, c = rounds[r]
-        band = g[lo - c : lo]
-        if r % 2:
-            o[n - 1 - c : n - 1] += band
-        else:
-            o[1 : c + 1] += band[::-1]
-    for r, (_, hi, c) in enumerate(rounds):
-        band = g[hi : hi + c]
-        if r % 2:
-            o[1 : c + 1] += band
-        else:
-            o[n - 1 - c : n - 1] += band[::-1]
-    return out
+    p = max(2 * (n - 1), 1)
+    rows = []
+    for i in (*range(pad), *range(pad + n, n + 2 * pad)):
+        m = (i - pad) % p
+        rows.append((i, min(m, p - m)))
+    return tuple(rows)
 
 
 def _pad_reflect(x: np.ndarray, pad: int) -> np.ndarray:
-    """Mirror-pad (H, W, C) by ``pad`` on every side: a copy of the centre,
-    then the mirrored columns of the centre rows, then the mirrored rows."""
+    """Mirror-pad (H, W, C) by ``pad`` on every side (edge pixel not
+    repeated): a copy of the centre, then each border column of the
+    centre rows, then each border row."""
     if pad == 0:
         return x
     H, W, C = x.shape
+    rows, cols = _border_rows(H, pad), _border_rows(W, pad)
     xp = np.empty((H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
     xp[pad : pad + H, pad : pad + W] = x
-    _mirror(xp[pad : pad + H].swapaxes(0, 1), W, pad)
-    _mirror(xp, H, pad)
+    for j, c in cols:
+        xp[pad : pad + H, j] = x[:, c]
+    for i, r in rows:
+        xp[i] = xp[pad + r]
     return xp
 
 
 def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_pad_reflect``: fold the border rows, then the border
-    columns, onto the pixels they mirror. Returns a C-contiguous array."""
+    """Adjoint of ``_pad_reflect``: a copy of the centre rows plus each
+    border row, first to last, added onto the row it copies; then the same
+    along the columns. Returns a C-contiguous array."""
     if pad == 0:
         return gp.copy()
-    return _fold(_fold(gp, n_h, pad, axis=0), n_w, pad, axis=1)
-
-
-def reflexive_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Mirror-pad by ``pad`` pixels on every side (edge pixel not repeated)."""
-    check_image(x)
-    if pad < 0:
-        raise ValueError("pad must be non-negative")
-    for n in x.shape[:2]:
-        # size-1 axes degenerate to replication; larger axes must be able
-        # to mirror without wrapping
-        if n > 1 and pad >= n:
-            raise DimensionError(
-                f"pad {pad} too large for {x.shape[0]}x{x.shape[1]} image"
-            )
-    return _pad_reflect(x, pad)
-
-
-def reflexive_pad_backward(grad_out: np.ndarray, input_shape: tuple, pad: int) -> np.ndarray:
-    return _pad_reflect_adjoint(grad_out, input_shape[0], input_shape[1], pad)
+    rows, cols = _border_rows(n_h, pad), _border_rows(n_w, pad)
+    g = gp[pad : pad + n_h].copy()
+    for i, r in rows:
+        g[r] += gp[i]
+    out = g[:, pad : pad + n_w].copy()
+    for j, c in cols:
+        out[:, c] += g[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------

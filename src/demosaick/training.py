@@ -39,6 +39,12 @@ from .resdnet import (
 from .tensor_core import ShapeError
 
 
+# the values a config file may give each field type (annotations are strings)
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
+                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0}
+
+
 @dataclass
 class TrainConfig:
     phase: str = "pretrain"           # not read, nor a config key: the function called sets it
@@ -65,13 +71,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(values) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "phase" in values:
             raise ValueError("config key 'phase' is not accepted: the subcommand "
                              "(pretrain or train) sets the phase")
+        for key, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kinds[key]]):
+                raise ValueError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
+            if key in _CONFIG_MINIMA and value < _CONFIG_MINIMA[key]:
+                raise ValueError(f"config key {key!r} must be at least "
+                                 f"{_CONFIG_MINIMA[key]}, got {value!r}")
         return cls(**values)
 
 
@@ -298,7 +310,8 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
 def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
     """End-to-end L1 training of the cascade (denoiser + w + sigmas) on
     flipped patches mosaicked with cfg.pattern, with iid noise of
-    cfg.train_sigma.
+    cfg.train_sigma. The cascade's denoiser has the depth of
+    ``denoiser_init``; cfg.depth is not read.
 
     Returns (best-validation CascadeParams, log rows)."""
     pattern = make_pattern(cfg.pattern)
@@ -306,7 +319,7 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
     def unflatten(flat) -> CascadeParams:
         # projection radius degenerates at sigma = 0
         sigmas = np.maximum(flat["cascade.sigmas"], 1e-3)
-        return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas}, cfg.depth)
+        return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas}, denoiser_init.depth)
 
     def observe(clean, gen):
         noisy = (

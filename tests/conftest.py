@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from demosaick.cfa import CfaPattern
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -13,3 +15,13 @@ def spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """The (height, width) of every ``CfaPattern.mask`` build in the test."""
+    calls = []
+    build = CfaPattern.mask
+    monkeypatch.setattr(CfaPattern, "mask",
+                        lambda p, h, w: calls.append((h, w)) or build(p, h, w))
+    return calls

@@ -73,6 +73,14 @@ class TestMosaic:
         with pytest.raises(ShapeError):
             mosaic(np.zeros((4, 4, 1)), make_pattern("bayer_rggb"))
 
+    def test_one_mask_per_observation(self, mask_calls):
+        """The observation masks its own data, so mosaicking an image and
+        reading the observation's mask build the CFA mask once."""
+        x = rng(6).uniform(0, 255, size=(6, 8, 3))
+        obs = mosaic(x, make_pattern("xtrans"))
+        assert np.array_equal(obs.data, x * obs.mask)
+        assert mask_calls == [(6, 8)]
+
 
 class TestDataConsistency:
     def test_zero_estimate_returns_observation(self):

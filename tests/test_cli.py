@@ -3,7 +3,7 @@ import pytest
 
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.cfa import make_pattern, mosaic
-from demosaick.cli import main
+from demosaick.cli import _read_observation, main
 from demosaick.config import parse_config_file
 from demosaick.datagen import make_dataset
 from demosaick.modelfile import load_model, save_model
@@ -141,6 +141,17 @@ class TestReconstructionCommands:
             assert main([command, str(path), *model, "--out", str(out)]) == 0
             ests.append(read_image(out))
         assert np.array_equal(ests[0], ests[1])
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_one_mask_per_observation(self, tmp_path, mask_calls, channels):
+        """Reading an observation and its mask builds the CFA mask once; a
+        one-channel raw mosaic is broadcast to 3 masked channels."""
+        data = rng(7).uniform(0, 255, size=(6, 8, channels))
+        path = tmp_path / "obs.npy"
+        np.save(path, data)
+        obs = _read_observation(path, "xtrans")
+        assert np.array_equal(obs.data, data * obs.mask)
+        assert mask_calls == [(6, 8)]
 
     def test_missing_model_is_usage_error(self, clean_ppm):
         path, _ = clean_ppm
@@ -309,6 +320,36 @@ class TestTrainingCommands:
                      "--model", str(den), "--out", str(cas)])
         assert code == 0
         assert load_model(cas).steps == 2
+
+    @pytest.mark.parametrize("depth_line", [pytest.param("", id="no-depth-key"),
+                                            pytest.param("depth = 1\n", id="depth-1")])
+    def test_train_takes_depth_from_model(self, data_dir, tmp_path, depth_line):
+        """`train --model` keeps every block of the denoiser it is given,
+        whatever the config says about depth."""
+        den = tmp_path / "den.rdnc"
+        save_model(init_resdnet(2, seed=3, num_filters=4), den)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("patch_size = 16\nbatch_size = 1\nepochs = 1\nsteps_per_epoch = 1\n"
+                       "steps = 2\n" + depth_line)
+        cas = tmp_path / "cas.rdnc"
+        assert main(["train", "--data", str(data_dir), "--config", str(cfg),
+                     "--model", str(den), "--out", str(cas)]) == 0
+        assert load_model(cas).denoiser.depth == 2
+
+    @pytest.mark.parametrize("line", [
+        "epochs = abc", "epochs = 1.5", "epochs = true", "lr = x", "pattern = 3",
+        "batch_size = 0", "steps_per_epoch = -1", "patch_size = 0", "num_filters = 0",
+        "lr_decay_every = -1", "checkpoint_every = -1",
+    ])
+    def test_malformed_config_value_is_data_error(self, data_dir, train_cfg, tmp_path, capsys,
+                                                  line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(train_cfg.read_text() + line + "\n")
+        out = tmp_path / "never.rdnc"
+        assert main(["pretrain", "--data", str(data_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, data_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"

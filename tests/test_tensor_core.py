@@ -19,8 +19,6 @@ from demosaick.tensor_core import (
     conv_transpose2d_backward,
     prelu,
     prelu_backward,
-    reflexive_pad,
-    reflexive_pad_backward,
 )
 
 
@@ -28,57 +26,54 @@ def rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+# every size up to 8x8 and every pad up to 8, the widest _box_sum window
+PAD_SIZES = [(h, w, pad) for h in range(1, 9) for w in range(1, 9) for pad in range(9)]
+
+
 class TestReflexivePad:
     def test_row_example(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)
-        padded = reflexive_pad(x, 1)
+        padded = _pad_reflect(x, 1)
         assert padded[1, :, 0].tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
 
     def test_constant_image(self):
         x = np.full((4, 5, 2), 7.0)
-        assert np.all(reflexive_pad(x, 2) == 7.0)
+        assert np.all(_pad_reflect(x, 2) == 7.0)
 
     def test_pad_zero_identity(self):
         x = rng().normal(size=(4, 4, 3))
-        assert np.array_equal(reflexive_pad(x, 0), x)
-
-    def test_pad_too_large(self):
-        with pytest.raises(DimensionError):
-            reflexive_pad(np.zeros((3, 3, 1)), 3)
+        assert np.array_equal(_pad_reflect(x, 0), x)
 
     def test_adjoint_identity_every_accepted_size(self):
+        """<pad(a), b> = <a, adjoint(b)> wherever the pad stays inside the
+        axis it reflects (pad < n, or an axis of one pixel)."""
         gen = rng(9)
-        for n_h in range(1, 9):
-            for n_w in range(1, 9):
-                for pad in range(6):
-                    if any(n > 1 and pad >= n for n in (n_h, n_w)):
-                        continue
-                    a = gen.normal(size=(n_h, n_w, 2))
-                    b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
-                    lhs = (reflexive_pad(a, pad) * b).sum()
-                    rhs = (a * reflexive_pad_backward(b, a.shape, pad)).sum()
-                    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
+        for n_h, n_w, pad in PAD_SIZES:
+            if any(n > 1 and pad >= n for n in (n_h, n_w)):
+                continue
+            a = gen.normal(size=(n_h, n_w, 2))
+            b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
+            lhs = (_pad_reflect(a, pad) * b).sum()
+            rhs = (a * _pad_reflect_adjoint(b, n_h, n_w, pad)).sum()
+            assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
 
     def test_adjoint_identity_pad_beyond_axis(self):
         """conv2d pads an image narrower than its kernel radius by pad >= n,
         which the pad serves by reflecting again (in rounds of at most n - 1
-        rows, as np.pad does); the adjoint must follow.
-        reflexive_pad rejects these sizes, so this calls the private pair."""
+        rows, as np.pad does); the adjoint must follow."""
         gen = rng(10)
-        for n_h in range(1, 9):
-            for n_w in range(1, 9):
-                for pad in range(1, 9):
-                    if pad < min(n_h, n_w):
-                        continue
-                    a = gen.normal(size=(n_h, n_w, 2))
-                    b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
-                    lhs = (_pad_reflect(a, pad) * b).sum()
-                    rhs = (a * _pad_reflect_adjoint(b, n_h, n_w, pad)).sum()
-                    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
+        for n_h, n_w, pad in PAD_SIZES:
+            if pad == 0 or pad < min(n_h, n_w):
+                continue
+            a = gen.normal(size=(n_h, n_w, 2))
+            b = gen.normal(size=(n_h + 2 * pad, n_w + 2 * pad, 2))
+            lhs = (_pad_reflect(a, pad) * b).sum()
+            rhs = (a * _pad_reflect_adjoint(b, n_h, n_w, pad)).sum()
+            assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1.0), (n_h, n_w, pad)
 
 
-# np.pad's reflect mode and the index-map fold the slice kernels replaced,
-# kept as the reference.
+# np.pad's reflect mode and the index-map fold, kept as the reference: the
+# kernels run the fold's order with a cached map in place of np.pad.
 
 
 def _np_pad(x, pad):
@@ -97,10 +92,6 @@ def _index_map_fold(gp, n_h, n_w, pad):
     for j in [*range(pad), *range(pad + n_w, n_w + 2 * pad)]:
         out[:, cols[j]] += tmp[:, j]
     return out
-
-
-# every size up to 8x8 and every pad up to 8, the widest _box_sum window
-PAD_SIZES = [(h, w, pad) for h in range(1, 9) for w in range(1, 9) for pad in range(9)]
 
 
 def test_pad_matches_np_pad_bitwise():
@@ -131,8 +122,7 @@ def test_empty_axis_is_rejected(h, w):
     x = np.zeros((h, w, 2))
     for pad in (1, 2, 8):
         gp = np.zeros((h + 2 * pad, w + 2 * pad, 2))
-        for call in (lambda: _pad_reflect(x, pad), lambda: reflexive_pad(x, pad),
-                     lambda: _pad_reflect_adjoint(gp, h, w, pad)):
+        for call in (lambda: _pad_reflect(x, pad), lambda: _pad_reflect_adjoint(gp, h, w, pad)):
             with pytest.raises(DimensionError):
                 call()
     assert _pad_reflect(x, 0).shape == _pad_reflect_adjoint(x, h, w, 0).shape == (h, w, 2)
@@ -184,7 +174,7 @@ class TestConv2d:
         w = gen.normal(size=(3, 2, 3, 3))
         b = gen.normal(size=3)
         out = conv2d(x, FilterBank(w, b))
-        xp = reflexive_pad(x, 1)
+        xp = _pad_reflect(x, 1)
         expected = np.zeros((4, 4, 3))
         for yy in range(4):
             for xx in range(4):
