@@ -17,11 +17,12 @@ All four convolution kernels (conv2d, conv_transpose2d and their backward
 passes) are one lowering: ``_im2col`` turns the padded image into a matrix
 of k x k patches, one row per pixel, so each kernel is a matrix product
 with the (k*k*in, out) filter matrix. ``_col2im`` is the exact adjoint of
-that product and works channel-major: one GEMM gives, for every patch
-offset (i, j), a (C, H*Wp) block laid out on rows of the padded width Wp,
-so the block is added to the flat (C, Hp*Wp) padded grid as one contiguous
-slice at offset i*Wp + j; the grid is then transposed back and its border
-folded onto the pixels it mirrors. Biases are added in place.
+that product: one GEMM gives, for every patch offset (i, j) and channel,
+a row holding the H image rows at the padded width Wp, zero-extended to
+the length L of one padded grid plus the largest offset. So each offset
+is one flat add over all channels onto C padded grids of length L, at
+i*Wp + j; the grids are then transposed back and their border folded
+onto the pixels it mirrors. Biases are added in place.
 """
 from __future__ import annotations
 
@@ -136,11 +137,9 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(H, W, C) -> (H*W, k*k*C): row h*W + w is the k x k patch of the
     reflexive-padded input centred on pixel (h, w), in (i, j, c) order."""
     H, W, C = x.shape
-    xp = _pad_reflect(x, (k - 1) // 2)
+    xp = np.ascontiguousarray(_pad_reflect(x, (k - 1) // 2))
     s0, s1, s2 = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp, (H, W, k, k, C), (s0, s1, s0, s1, s2), writeable=False
-    )
+    patches = np.ndarray((H, W, k, k, C), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
     return patches.reshape(H * W, k * k * C)
 
 
@@ -150,20 +149,29 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The GEMM runs on ``y`` widened with zero columns to the padded width
     Wp, so the entry of pixel (h, v) for patch offset (i, j) lands on the
-    flat padded index (h + i)*Wp + v + j: each offset is one contiguous
-    (C, H*Wp) add, and the zero columns wrap onto the next row as zeros."""
+    flat padded index (h + i)*Wp + v + j. Each channel's row of the GEMM
+    output, and of the grid, is L = n + reach long, with zeros past n, so
+    each offset is one flat add over all channels. Its zeros land on the
+    same channel's tail or the next channel's grid and change no bit: a
+    sum that starts at +0.0 is never -0.0."""
     H, W, _ = y.shape
     C, k = w.shape[1], w.shape[2]
     pad = (k - 1) // 2
     Wp, n = W + 2 * pad, H * (W + 2 * pad)
+    reach = 2 * pad * (Wp + 1)
+    L = n + reach
     yw = np.zeros((H, Wp, y.shape[2]), dtype=y.dtype)
     yw[:, :W] = y
-    cols = (_filter_matrix(w) @ yw.reshape(n, -1).T).reshape(k, k, C, n)
-    gp = np.zeros((C, n + 2 * pad * (Wp + 1)), dtype=cols.dtype)
+    cols = np.empty((k * k * C, L), dtype=np.result_type(y, w))
+    np.matmul(_filter_matrix(w), yw.reshape(n, -1).T, out=cols[:, :n])
+    cols[:, n:] = 0.0
+    cols = cols.reshape(k * k, C * L)
+    gp = np.zeros(C * L + reach, dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
-            gp[:, i * Wp + j : i * Wp + j + n] += cols[i, j]
-    gp = gp[:, : n + 2 * pad * Wp].reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
+            gp[i * Wp + j : i * Wp + j + C * L] += cols[i * k + j]
+    gp = gp[: C * L].reshape(C, L)[:, : n + 2 * pad * Wp]
+    gp = gp.reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
     return _pad_reflect_adjoint(gp, H, W, pad)
 
 

@@ -13,6 +13,7 @@ so runs are reproducible bit-for-bit under a fixed seed.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -42,7 +43,8 @@ from .tensor_core import ShapeError
 # the values a config file may give each field type (annotations are strings)
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
-                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0}
+                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0,
+                  "weight_decay": 0, "sigma_lo": 0, "sigma_hi": 0, "train_sigma": 0}
 
 
 @dataclass
@@ -81,6 +83,8 @@ class TrainConfig:
         for key, value in values.items():
             if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kinds[key]]):
                 raise ValueError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
+            if kinds[key] == "float" and not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {value!r}")
             if key in _CONFIG_MINIMA and value < _CONFIG_MINIMA[key]:
                 raise ValueError(f"config key {key!r} must be at least "
                                  f"{_CONFIG_MINIMA[key]}, got {value!r}")
@@ -265,6 +269,8 @@ def _fit(images: list, flat: dict, cfg: TrainConfig, unflatten, val_input, patch
             if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and cfg.checkpoint_path:
                 save_model(model, cfg.checkpoint_path)
         vals = [evaluate(model, clean, inp) for clean, inp in zip(val_clean, val_inputs)]
+        if any(np.isnan(vals)):
+            raise FloatingPointError(f"NaN validation PSNR in epoch {epoch + 1}")
         finite = [v for v in vals if np.isfinite(v)]
         score = float(np.mean(finite)) if finite else np.inf
         log.add(step, lr, log.rows[-1][2] if log.rows else np.nan, score)

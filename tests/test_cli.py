@@ -340,6 +340,7 @@ class TestTrainingCommands:
         "epochs = abc", "epochs = 1.5", "epochs = true", "lr = x", "pattern = 3",
         "batch_size = 0", "steps_per_epoch = -1", "patch_size = 0", "num_filters = 0",
         "lr_decay_every = -1", "checkpoint_every = -1",
+        "lr = nan", "lr = inf", "train_sigma = -5.0", "sigma_lo = -1.0",
     ])
     def test_malformed_config_value_is_data_error(self, data_dir, train_cfg, tmp_path, capsys,
                                                   line):

@@ -9,6 +9,7 @@ from demosaick.tensor_core import (
     FilterBank,
     ShapeError,
     _col2im,
+    _im2col,
     _pad_reflect,
     _pad_reflect_adjoint,
     clip,
@@ -304,6 +305,62 @@ def test_kernels_match_einsum_reference(h, w, cin, cout, k):
     for i, (a, ref) in enumerate(zip(got, _ref_kernels(x, y, weights, b, bt))):
         assert a.shape == ref.shape, i
         assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), i
+
+
+# The channel-major col2im the flat all-channel adds replaced, kept as the
+# reference: one (C, H*Wp) slice add per patch offset onto a (C, L) grid.
+
+
+def _channel_major_col2im(y, w):
+    H, W, _ = y.shape
+    C, k = w.shape[1], w.shape[2]
+    pad = (k - 1) // 2
+    Wp, n = W + 2 * pad, H * (W + 2 * pad)
+    yw = np.zeros((H, Wp, y.shape[2]), dtype=y.dtype)
+    yw[:, :W] = y
+    cols = (w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0]) @ yw.reshape(n, -1).T)
+    cols = cols.reshape(k, k, C, n)
+    gp = np.zeros((C, n + 2 * pad * (Wp + 1)), dtype=cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            gp[:, i * Wp + j : i * Wp + j + n] += cols[i, j]
+    gp = gp[:, : n + 2 * pad * Wp].reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
+    return _index_map_fold(gp, H, W, pad)
+
+
+# 1-px axes, axes narrower than the pad, the desk and paper layers, and
+# one paper-size image
+COL2IM_SHAPES = [
+    (h, w, f, c, k)
+    for h, w in [(1, 1), (1, 6), (5, 1), (2, 3), (7, 4), (9, 13)]
+    for k in (1, 3, 5)
+    for f, c in [(8, 8), (8, 3), (3, 8), (64, 64), (64, 3)]
+] + [(64, 80, 64, 64, 3), (64, 80, 64, 3, 5)]
+
+
+@pytest.mark.parametrize("h,w,f,c,k", COL2IM_SHAPES)
+def test_col2im_matches_channel_major_reference_bitwise(h, w, f, c, k):
+    """Values and sign bits: the extra adds of +0.0 past each channel's
+    GEMM row land on running sums that start at +0.0, which never turn
+    into -0.0, so they change no bit."""
+    gen = rng(h * 10000 + w * 100 + f + c + k)
+    y = gen.normal(size=(h, w, f))
+    y.flat[::5] = -0.0
+    weights = gen.normal(size=(f, c, k, k))
+    weights.flat[::3] = -0.0
+    got, want = _col2im(y, weights), _channel_major_col2im(y, weights)
+    assert got.shape == want.shape == (h, w, c)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_im2col_of_a_non_contiguous_view(k):
+    """The patch view is built on the padded buffer, which must be
+    C-contiguous; at k = 1 the pad returns the input itself."""
+    x = rng(15).normal(size=(6, 5, 4))
+    view = x.transpose(1, 0, 2)
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_im2col(view, k), _im2col(np.ascontiguousarray(view), k))
 
 
 class TestPrelu:

@@ -141,6 +141,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"learning_rate": 0.5})
 
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "sigma_lo", "sigma_hi",
+                                     "sigma_max", "sigma_min", "train_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key", ["weight_decay", "sigma_lo", "sigma_hi", "train_sigma"])
+    def test_negative_noise_level_or_decay_rejected(self, key):
+        assert getattr(TrainConfig.from_dict({key: 0.0}), key) == 0.0
+        with pytest.raises(ValueError, match=repr(key)):
+            TrainConfig.from_dict({key: -1e-9})
+
 
 SMOKE = TrainConfig(
     patch_size=16,
@@ -230,6 +243,21 @@ class TestJoint:
         train_joint(images, init, cfg)
         ckpt = load_model(tmp_path / "ckpt.rdnc")
         assert ckpt.steps == cfg.steps
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "joint"])
+def test_nan_validation_score_is_a_numeric_failure(phase):
+    """A NaN learning rate makes every parameter NaN after the first Adam
+    step; the epoch's NaN validation PSNR raises rather than keeping that
+    model as the best one."""
+    cfg = TrainConfig(patch_size=16, batch_size=1, epochs=1, steps_per_epoch=1,
+                      lr=float("nan"), depth=1, num_filters=4, steps=2)
+    images = make_dataset(5, seed=9, height=24, width=24)
+    with pytest.raises(FloatingPointError, match="epoch 1"), np.errstate(invalid="ignore"):
+        if phase == "pretrain":
+            pretrain_denoiser(images, cfg)
+        else:
+            train_joint(images, init_resdnet(cfg.depth, cfg.seed, cfg.num_filters), cfg)
 
 
 @pytest.mark.parametrize("phase", ["pretrain", "joint"])
