@@ -37,9 +37,8 @@ def main() -> None:
     images = make_dataset(args.images, seed=args.data_seed)
     denoiser = load_model(args.init)
     cfg = TrainConfig(
-        phase="joint", patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
-        epochs=args.epochs, steps_per_epoch=args.steps_per_epoch,
-        num_filters=denoiser.num_filters, seed=args.seed,
+        patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
+        epochs=args.epochs, steps_per_epoch=args.steps_per_epoch, seed=args.seed,
         steps=args.cascade_steps, sigma_max=15.0, sigma_min=1.0,
         train_sigma=args.train_sigma, pattern=args.pattern, log_path=args.log,
     )
@@ -57,7 +56,7 @@ def main() -> None:
             patch_obs = patch + args.train_sigma * gen.standard_normal(patch.shape)
         else:
             patch_obs = patch
-        obs = mosaic(patch_obs, pattern, sigma=args.train_sigma)
+        obs = mosaic(patch_obs, pattern)
         bil.append(psnr(patch, bilinear_demosaick(obs)))
         casc.append(psnr(patch, demosaick(obs, params)))
     print(f"held-out: bilinear {np.mean(bil):.2f} dB, cascade {np.mean(casc):.2f} dB, "

@@ -32,7 +32,7 @@ def main() -> None:
 
     images = make_dataset(args.images, seed=args.data_seed)
     cfg = TrainConfig(
-        phase="pretrain", patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
+        patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
         epochs=args.epochs, steps_per_epoch=args.steps_per_epoch,
         depth=args.depth, num_filters=args.filters, seed=args.seed,
         log_path=args.log,

@@ -52,8 +52,8 @@ class CascadeParams:
         return out
 
     @classmethod
-    def from_flat(cls, flat: dict, depth: int) -> "CascadeParams":
-        den = ResDNetParams.from_flat(flat, depth)
+    def from_flat(cls, flat: dict) -> "CascadeParams":
+        den = ResDNetParams.from_flat(flat)
         return cls(denoiser=den, w=flat["cascade.w"], sigmas=flat["cascade.sigmas"])
 
 

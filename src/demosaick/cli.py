@@ -144,7 +144,7 @@ def cmd_mosaic(args) -> int:
         raise FormatError("mosaic needs a 3-channel input")
     spec = _noise_spec(args)
     noisy = add_noise(image, spec)
-    obs = mosaic(noisy, make_pattern(args.pattern), sigma=spec.sigma)
+    obs = mosaic(noisy, make_pattern(args.pattern))
     _check_finite(obs.data, "observation")
     out = args.out or "mosaic.npy"
     write_image(out, obs.data, bitdepth=16)

@@ -2,7 +2,10 @@
 
 Each check builds a small random instance, forms the scalar loss
 L = <c, op(...)> for a fixed random c, and compares the hand-written
-backward pass against central finite differences. Used by the test suite
+backward pass against central finite differences. Each check is one
+table of (analytic gradient, loss of one array, that array) entries run
+through one comparison; a model parameter's loss rebuilds the model from
+its flat parameters with that one array replaced. Used by the test suite
 and the `gradcheck` CLI subcommand.
 """
 from __future__ import annotations
@@ -75,108 +78,85 @@ def _gen(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _loss(c: np.ndarray, op):
+    """The scalar loss a -> <c, op(a)>."""
+    return lambda a: float((c * op(a)).sum())
+
+
+def _errors(table: dict) -> dict:
+    """{key: (analytic gradient, scalar loss of one array, that array)} ->
+    {key: max_rel_error against central finite differences}."""
+    return {
+        key: max_rel_error(grad, numerical_gradient(f, np.array(a, dtype=np.float64)))
+        for key, (grad, f, a) in table.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # per-op checks
 
 
+def _conv_table(name: str, op, op_backward, c, x, fb: FilterBank) -> dict:
+    """The input, weights and bias entries of one convolution's check."""
+    gx, gw, gb = op_backward(c, x, fb)
+    return {
+        f"{name}.input": (gx, _loss(c, lambda a: op(a, fb)), x),
+        f"{name}.weights": (gw, _loss(c, lambda w: op(x, FilterBank(w, fb.bias))), fb.weights),
+        f"{name}.bias": (gb, _loss(c, lambda b: op(x, FilterBank(fb.weights, b))), fb.bias),
+    }
+
+
 def check_tensor_ops(seed: int = 0) -> dict:
     gen = _gen(seed)
-    errs = {}
-    x = gen.uniform(-1, 1, size=(5, 5, 2))
-    c_pad = gen.uniform(-1, 1, size=(7, 7, 2))
-    gx = _pad_reflect_adjoint(c_pad, *x.shape[:2], 1)
-    num = numerical_gradient(lambda a: float((c_pad * _pad_reflect(a, 1)).sum()), x.copy())
-    errs["reflexive_pad.input"] = max_rel_error(gx, num)
 
-    fb = FilterBank(gen.uniform(-1, 1, size=(3, 2, 3, 3)), gen.uniform(-1, 1, size=3))
-    c = gen.uniform(-1, 1, size=(5, 5, 3))
-    gx, gw, gb = conv2d_backward(c, x, fb)
-    errs["conv2d.input"] = max_rel_error(
-        gx, numerical_gradient(lambda a: float((c * conv2d(a, fb)).sum()), x.copy())
-    )
-    errs["conv2d.weights"] = max_rel_error(
-        gw,
-        numerical_gradient(
-            lambda w: float((c * conv2d(x, FilterBank(w, fb.bias))).sum()), fb.weights.copy()
-        ),
-    )
-    errs["conv2d.bias"] = max_rel_error(
-        gb,
-        numerical_gradient(
-            lambda b: float((c * conv2d(x, FilterBank(fb.weights, b))).sum()), fb.bias.copy()
-        ),
-    )
+    def draw(*shape, lo=-1.0, hi=1.0):
+        return gen.uniform(lo, hi, size=shape)
 
-    xt = gen.uniform(-1, 1, size=(5, 5, 3))
-    fbt = FilterBank(gen.uniform(-1, 1, size=(3, 2, 3, 3)), gen.uniform(-1, 1, size=2))
-    ct = gen.uniform(-1, 1, size=(5, 5, 2))
-    gx, gw, gb = conv_transpose2d_backward(ct, xt, fbt)
-    errs["conv_transpose2d.input"] = max_rel_error(
-        gx, numerical_gradient(lambda a: float((ct * conv_transpose2d(a, fbt)).sum()), xt.copy())
-    )
-    errs["conv_transpose2d.weights"] = max_rel_error(
-        gw,
-        numerical_gradient(
-            lambda w: float((ct * conv_transpose2d(xt, FilterBank(w, fbt.bias))).sum()),
-            fbt.weights.copy(),
-        ),
-    )
-    errs["conv_transpose2d.bias"] = max_rel_error(
-        gb,
-        numerical_gradient(
-            lambda b: float((ct * conv_transpose2d(xt, FilterBank(fbt.weights, b))).sum()),
-            fbt.bias.copy(),
-        ),
-    )
-
-    slopes = gen.uniform(0.1, 0.5, size=2)
-    cp = gen.uniform(-1, 1, size=(5, 5, 2))
-    gx, gk = prelu_backward(cp, x, slopes)
-    errs["prelu.input"] = max_rel_error(
-        gx, numerical_gradient(lambda a: float((cp * prelu(a, slopes)).sum()), x.copy())
-    )
-    errs["prelu.slopes"] = max_rel_error(
-        gk, numerical_gradient(lambda k: float((cp * prelu(x, k)).sum()), slopes.copy())
-    )
-
+    x, c_pad = draw(5, 5, 2), draw(7, 7, 2)
+    fb = FilterBank(draw(3, 2, 3, 3), draw(3))
+    c = draw(5, 5, 3)
+    xt = draw(5, 5, 3)
+    fbt = FilterBank(draw(3, 2, 3, 3), draw(2))
+    ct = draw(5, 5, 2)
+    slopes, cp = draw(2, lo=0.1, hi=0.5), draw(5, 5, 2)
     # keep samples away from the clip bounds so FD sees a smooth function
-    xc = gen.uniform(-0.8, 1.8, size=(5, 5, 2))
+    xc = draw(5, 5, 2, lo=-0.8, hi=1.8)
     xc = np.where(np.abs(xc) < 0.05, 0.2, xc)
     xc = np.where(np.abs(xc - 1.0) < 0.05, 0.8, xc)
-    cc = gen.uniform(-1, 1, size=(5, 5, 2))
-    gx = clip_backward(cc, xc, 0.0, 1.0)
-    errs["clip.input"] = max_rel_error(
-        gx, numerical_gradient(lambda a: float((cc * clip(a, 0.0, 1.0)).sum()), xc.copy())
-    )
-
-    u = gen.uniform(-1, 1, size=(3, 2, 3, 3))
-    s = gen.uniform(0.5, 2.0, size=3)
-    cm = gen.uniform(-1, 1, size=(3, 2, 3, 3))
-    gu, gs = materialize_weights_backward(cm, u, s)
-    errs["materialize.u"] = max_rel_error(
-        gu, numerical_gradient(lambda a: float((cm * materialize_weights(a, s)).sum()), u.copy())
-    )
-    errs["materialize.s"] = max_rel_error(
-        gs, numerical_gradient(lambda a: float((cm * materialize_weights(u, a)).sum()), s.copy())
-    )
-
+    cc = draw(5, 5, 2)
+    u, s = draw(3, 2, 3, 3), draw(3, lo=0.5, hi=2.0)
+    cm = draw(3, 2, 3, 3)
     # projection, exterior branch (norm > eps) including gamma and sigma
-    e = gen.uniform(-1, 1, size=(4, 4, 3)) * 10.0
-    sigma, gamma = 0.1, 0.2
-    cpr = gen.uniform(-1, 1, size=(4, 4, 3))
-    ge, ggamma, gsigma = project_noise_backward(cpr, e, sigma, gamma)
-    errs["project.e"] = max_rel_error(
-        ge, numerical_gradient(lambda a: float((cpr * project_noise(a, sigma, gamma)).sum()), e.copy())
-    )
-    num_gamma = numerical_gradient(
-        lambda g: float((cpr * project_noise(e, sigma, float(g))).sum()), np.asarray(gamma)
-    )
-    errs["project.gamma"] = max_rel_error(np.asarray(ggamma), num_gamma)
-    num_sigma = numerical_gradient(
-        lambda sg: float((cpr * project_noise(e, float(sg), gamma)).sum()), np.asarray(sigma)
-    )
-    errs["project.sigma"] = max_rel_error(np.asarray(gsigma), num_sigma)
-    return errs
+    e, sigma, gamma = draw(4, 4, 3) * 10.0, 0.1, 0.2
+    cpr = draw(4, 4, 3)
+
+    g_prelu, g_slopes = prelu_backward(cp, x, slopes)
+    gu, gs = materialize_weights_backward(cm, u, s)
+    ge, g_gamma, g_sigma = project_noise_backward(cpr, e, sigma, gamma)
+    return _errors({
+        "reflexive_pad.input": (_pad_reflect_adjoint(c_pad, *x.shape[:2], 1),
+                                _loss(c_pad, lambda a: _pad_reflect(a, 1)), x),
+        **_conv_table("conv2d", conv2d, conv2d_backward, c, x, fb),
+        **_conv_table("conv_transpose2d", conv_transpose2d, conv_transpose2d_backward, ct, xt, fbt),
+        "prelu.input": (g_prelu, _loss(cp, lambda a: prelu(a, slopes)), x),
+        "prelu.slopes": (g_slopes, _loss(cp, lambda k: prelu(x, k)), slopes),
+        "clip.input": (clip_backward(cc, xc, 0.0, 1.0), _loss(cc, lambda a: clip(a, 0.0, 1.0)), xc),
+        "materialize.u": (gu, _loss(cm, lambda a: materialize_weights(a, s)), u),
+        "materialize.s": (gs, _loss(cm, lambda a: materialize_weights(u, a)), s),
+        "project.e": (ge, _loss(cpr, lambda a: project_noise(a, sigma, gamma)), e),
+        "project.gamma": (g_gamma, _loss(cpr, lambda g: project_noise(e, sigma, float(g))), gamma),
+        "project.sigma": (g_sigma, _loss(cpr, lambda sg: project_noise(e, float(sg), gamma)), sigma),
+    })
+
+
+def _param_table(params, grads: dict, loss) -> dict:
+    """One entry per flattened parameter of ``params``: ``loss`` of the
+    model rebuilt from the flat parameters with that one array replaced."""
+    flat = params.flatten()
+    return {
+        key: (grads[key], lambda a, k=key: loss(type(params).from_flat({**flat, k: a})), val)
+        for key, val in flat.items()
+    }
 
 
 def check_resdnet(seed: int = 0, interior: bool = False) -> dict:
@@ -188,35 +168,21 @@ def check_resdnet(seed: int = 0, interior: bool = False) -> dict:
     """
     gen = _gen(seed)
     params = init_resdnet(depth=1, seed=seed + 1, num_filters=8)
-    sigma = 2.0
-    if interior:
-        sigma = 1e4
+    sigma = 1e4 if interior else 2.0
     x = gen.uniform(40, 215, size=(8, 8, 3))
     c = gen.uniform(-1, 1, size=(8, 8, 3))
 
-    out, cache = resdnet_forward(x, sigma, params)
+    _, cache = resdnet_forward(x, sigma, params)
     g_x, grads, g_sigma = resdnet_backward(c, cache, params)
-    grads = filter_grads(grads, params)
 
-    flat = params.flatten()
-    errs = {}
+    def loss(p, xin=x, sig=sigma):
+        return float((c * resdnet_forward(xin, float(sig), p)[0]).sum())
 
-    def run(override_key=None, value=None, xin=None, sig=None):
-        f = dict(flat)
-        if override_key is not None:
-            f[override_key] = value
-        p = type(params).from_flat(f, params.depth)
-        o, _ = resdnet_forward(x if xin is None else xin, sigma if sig is None else float(sig), p)
-        return float((c * o).sum())
-
-    errs["input"] = max_rel_error(g_x, numerical_gradient(lambda a: run(xin=a), x.copy()))
-    errs["sigma"] = max_rel_error(
-        np.asarray(g_sigma), numerical_gradient(lambda sg: run(sig=sg), np.asarray(sigma))
-    )
-    for key, val in flat.items():
-        num = numerical_gradient(lambda a, k=key: run(override_key=k, value=a), val.copy())
-        errs[key] = max_rel_error(grads[key], num)
-    return errs
+    return _errors({
+        "input": (g_x, lambda a: loss(params, xin=a), x),
+        "sigma": (g_sigma, lambda sg: loss(params, sig=sg), sigma),
+        **_param_table(params, filter_grads(grads, params), loss),
+    })
 
 
 def check_cascade(seed: int = 0, steps: int = 3) -> dict:
@@ -231,22 +197,8 @@ def check_cascade(seed: int = 0, steps: int = 3) -> dict:
     y = mosaic(clean, make_pattern("bayer_rggb"))
     c = gen.uniform(-1, 1, size=(8, 8, 3))
 
-    est, traj = demosaick_forward(y, cp)
-    grads = demosaick_backward(c, traj, cp)
-
-    flat = cp.flatten()
-    errs = {}
-
-    def run(key, value):
-        f = dict(flat)
-        f[key] = value
-        p = CascadeParams.from_flat(f, params.depth)
-        return float((c * demosaick(y, p)).sum())
-
-    for key, val in flat.items():
-        num = numerical_gradient(lambda a, k=key: run(k, a), val.copy())
-        errs[key] = max_rel_error(grads[key], num)
-    return errs
+    grads = demosaick_backward(c, demosaick_forward(y, cp)[1], cp)
+    return _errors(_param_table(cp, grads, _loss(c, lambda p: demosaick(y, p))))
 
 
 def run_all(seed: int = 0) -> dict:

@@ -11,12 +11,16 @@ _SRGB_KNEE = 0.0031308
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
-    """10 log10(peak^2 / MSE) over all pixels and channels; inf if equal."""
+    """10 log10(peak^2 / MSE) over all pixels and channels; inf if equal,
+    NaN if the MSE is NaN. An MSE that overflows to +inf raises
+    FloatingPointError."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     mse = float(((a - b) ** 2).mean())
     if mse == 0.0:
         return math.inf
+    if mse == math.inf:
+        raise FloatingPointError("mean squared error overflows")
     return 10.0 * math.log10(peak ** 2 / mse)
 
 

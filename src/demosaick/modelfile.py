@@ -7,9 +7,11 @@ Layout (all integers unsigned 32-bit little-endian, floats 32-bit LE):
     then the zlib CRC-32 of every byte before it
 
 K = 0 marks a plain denoiser checkpoint without extrapolation weights or a
-noise schedule. Round trips are bit-exact at 32-bit precision. Version 1
-files, written before the checksum trailer, are still read; a version 2
-file whose checksum does not match is rejected.
+noise schedule. The model is built from the arrays alone, and a header
+depth D that disagrees with its blocks is rejected. Round trips are
+bit-exact at 32-bit precision. Version 1 files, written before the
+checksum trailer, are still read; a version 2 file whose checksum does
+not match is rejected.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import CascadeParams
-from .resdnet import ResDNetParams
+from .resdnet import ResDNetParams, block_name
 
 MAGIC = b"RDNC"
 VERSION = 2
@@ -103,13 +105,14 @@ def load_model(path):
     if pos != len(raw):
         raise ModelFormatError("trailing bytes after last array", offset=pos)
     try:
-        if steps == 0:
-            params = ResDNetParams.from_flat(arrays, depth)
-        else:
-            params = CascadeParams.from_flat(arrays, depth)
+        params = (CascadeParams if steps else ResDNetParams).from_flat(arrays)
     except KeyError as exc:
         raise ModelFormatError(f"no array {exc.args[0]!r} for depth {depth}") from exc
-    expected = params.flatten()
+    expected, found, _ = _params_to_arrays(params)
+    if found < depth:
+        raise ModelFormatError(f"no array '{block_name(2 * found)}.u' for depth {depth}")
+    if found > depth:
+        raise ModelFormatError(f"unexpected array '{block_name(2 * depth)}.u' for depth {depth}")
     for name in arrays:
         if name not in expected:
             raise ModelFormatError(f"unexpected array {name!r} for depth {depth}")

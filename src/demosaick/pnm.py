@@ -2,7 +2,8 @@
 
 All reads return float64 arrays of shape (H, W, C) scaled to [0, 255]
 (16-bit files are divided by maxval and multiplied by 255). Grayscale
-files come back with C = 1.
+files come back with C = 1. A .npy array must be (H, W), (H, W, 1) or
+(H, W, 3) of bool, integer or float dtype; it is read unscaled.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ def read_image(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npy":
         arr = np.load(path)
+        if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (1,), (3,)):
+            raise FormatError(f"{path}: shape {arr.shape} is not (H, W), (H, W, 1) or (H, W, 3)")
+        if arr.dtype.kind not in "biuf":
+            raise FormatError(f"{path}: dtype {arr.dtype} is not bool, integer or float")
         if arr.ndim == 2:
             arr = arr[:, :, None]
         return arr.astype(np.float64)

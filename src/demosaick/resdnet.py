@@ -7,7 +7,8 @@ and clips to [0, 255]. A forward pass keeps 2D + 1 F-channel arrays for the
 backward pass ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64
 patch at D=5, F=64): each PReLU's input and the tail input. The backward
 pass recomputes each PReLU output, 2D extra ``prelu`` calls and no
-convolution. All trainable tensors live in ResDNetParams. Each layer's
+convolution. All trainable tensors live in ResDNetParams; its depth D is
+read from its 2D blocks, never stored beside them. Each layer's
 parameters materialize its filters on first use (``ConvParams.bank``), so
 every later pass over the same parameter set shares them. Gradients are
 returned as a flat {name: array} dict: ``resdnet_backward`` gives each
@@ -151,11 +152,15 @@ class BlockParams(ConvParams):
 
 @dataclass
 class ResDNetParams:
-    depth: int                    # D; the network has 2*D nonlinear blocks
     head: ConvParams              # 5x5, 3 -> F
     blocks: list                  # 2*D BlockParams, 3x3, F -> F
     tail: ConvParams              # transposed 5x5 bank (F, 3, 5, 5), bias (3,)
     gamma: float = 0.0
+
+    @property
+    def depth(self) -> int:
+        """D, read from the blocks: the network has 2*D nonlinear blocks."""
+        return len(self.blocks) // 2
 
     @property
     def num_filters(self) -> int:
@@ -176,17 +181,20 @@ class ResDNetParams:
         return out
 
     @classmethod
-    def from_flat(cls, flat: dict, depth: int) -> "ResDNetParams":
+    def from_flat(cls, flat: dict) -> "ResDNetParams":
+        """The model whose ``flatten`` is ``flat``: blocks are read from
+        ``block00`` on for as long as their keys are present, in pairs, so
+        an odd count raises KeyError for the missing partner."""
         head = ConvParams(flat["head.u"], flat["head.s"], flat["head.bias"])
         blocks = []
-        for i in range(2 * depth):
-            p = block_name(i)
+        while f"{block_name(len(blocks))}.u" in flat or len(blocks) % 2:
+            p = block_name(len(blocks))
             blocks.append(
                 BlockParams(flat[f"{p}.u"], flat[f"{p}.s"], flat[f"{p}.bias"], flat[f"{p}.kappa"])
             )
         tail = ConvParams(flat["tail.u"], flat["tail.s"], flat["tail.bias"])
         gamma = float(np.asarray(flat["gamma"]).ravel()[0])
-        return cls(depth=depth, head=head, blocks=blocks, tail=tail, gamma=gamma)
+        return cls(head=head, blocks=blocks, tail=tail, gamma=gamma)
 
 
 @dataclass
@@ -231,7 +239,7 @@ def init_resdnet(depth: int, seed: int, num_filters: int = 64) -> ResDNetParams:
         )
     tu, ts = draw(num_filters, CHANNELS, HEAD_KERNEL)
     tail = ConvParams(tu, ts, np.zeros(CHANNELS))
-    return ResDNetParams(depth=depth, head=head, blocks=blocks, tail=tail, gamma=0.0)
+    return ResDNetParams(head=head, blocks=blocks, tail=tail, gamma=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -304,8 +304,7 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
         return psnr(clean, resdnet_forward(noisy, cfg.sigma_hi, p)[0])
 
     init = init_resdnet(cfg.depth, cfg.seed, cfg.num_filters)
-    return _fit(images, init.flatten(), cfg,
-                lambda flat: ResDNetParams.from_flat(flat, cfg.depth),
+    return _fit(images, init.flatten(), cfg, ResDNetParams.from_flat,
                 val_input, patch_loss, evaluate)
 
 
@@ -325,7 +324,7 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
     def unflatten(flat) -> CascadeParams:
         # projection radius degenerates at sigma = 0
         sigmas = np.maximum(flat["cascade.sigmas"], 1e-3)
-        return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas}, denoiser_init.depth)
+        return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas})
 
     def observe(clean, gen):
         noisy = (
@@ -333,7 +332,7 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
             if cfg.train_sigma > 0
             else clean
         )
-        return mosaic(noisy, pattern, sigma=cfg.train_sigma)
+        return mosaic(noisy, pattern)
 
     def patch_loss(cp: CascadeParams, patch, gen):
         est, traj = demosaick_forward(observe(patch, gen), cp)
@@ -343,6 +342,5 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
     def evaluate(cp: CascadeParams, clean, obs) -> float:
         return psnr(clean, demosaick(obs, cp))
 
-    w, sigmas = init_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
-    flat = {**denoiser_init.flatten(), "cascade.w": w, "cascade.sigmas": sigmas}
-    return _fit(images, flat, cfg, unflatten, observe, patch_loss, evaluate, flips=True)
+    start = CascadeParams(denoiser_init, *init_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min))
+    return _fit(images, start.flatten(), cfg, unflatten, observe, patch_loss, evaluate, flips=True)

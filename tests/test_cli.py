@@ -219,6 +219,18 @@ class TestReconstructionCommands:
         np.save(obs, data)
         assert main(["bilinear", str(obs)]) == 3
 
+    @pytest.mark.parametrize("array,message", [
+        (np.zeros(16), "shape (16,)"),
+        (np.zeros((4, 4, 3), dtype=complex), "dtype complex128"),
+        (np.zeros((4, 4, 2)), "shape (4, 4, 2)"),
+        (np.zeros((4, 4, 3, 1)), "shape (4, 4, 3, 1)"),
+    ])
+    def test_npy_needs_image_shape_and_real_dtype(self, tmp_path, capsys, array, message):
+        obs = tmp_path / "obs.npy"
+        np.save(obs, array)
+        assert main(["bilinear", str(obs), "--out", str(tmp_path / "est.npy")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEvalCommand:
     @pytest.fixture
@@ -276,6 +288,14 @@ class TestEvalCommand:
         (d / "x_truth.ppm").write_bytes(b"P6\n4 0\n255\n")
         np.save(d / "x_input.npy", np.zeros((0, 4)))
         assert main(["eval", str(d), "--method", method, "--model", str(cascade_model)]) == 2
+
+    def test_overflowing_error_is_numeric_failure(self, tmp_path, capsys):
+        d = tmp_path / "huge"
+        d.mkdir()
+        np.save(d / "x_truth.npy", np.zeros((6, 6, 3)))
+        np.save(d / "x_input.npy", np.full((6, 6, 3), 1e200))
+        assert main(["eval", str(d), "--method", "bilinear"]) == 3
+        assert "mean squared error overflows" in capsys.readouterr().err
 
     def test_missing_observation(self, tmp_path):
         d = tmp_path / "half"

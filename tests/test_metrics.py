@@ -34,6 +34,16 @@ class TestPsnr:
         b = np.ones((2, 2, 1))
         assert np.isclose(psnr(a, b, peak=1.0), 0.0)
 
+    def test_overflowing_error_is_numeric_failure(self):
+        a = np.zeros((2, 2, 3))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflows"):
+            psnr(a, np.full_like(a, 1e200))
+
+    def test_nan_error_is_nan(self):
+        b = np.zeros((2, 2, 3))
+        b[0, 0, 0] = np.nan
+        assert math.isnan(psnr(np.zeros_like(b), b))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             psnr(np.zeros((2, 2, 3)), np.zeros((3, 3, 3)))

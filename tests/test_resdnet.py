@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from demosaick import resdnet
 from demosaick.gradcheck import check_resdnet
+from demosaick.modelfile import ModelFormatError, load_model, save_model
 from demosaick.resdnet import (
     DegenerateFilterError,
+    ResDNetParams,
     init_resdnet,
     materialize_weights,
     parameter_breakdown,
@@ -120,6 +124,45 @@ class TestInit:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             init_resdnet(0, seed=0)
+
+
+class TestDerivedDepth:
+    """The depth is read from the blocks, so a model's blocks, its forward
+    pass and its model file cannot disagree about it."""
+
+    def test_extended_blocks_set_the_depth(self, tmp_path):
+        p = init_resdnet(1, seed=3, num_filters=4)
+        p.blocks = p.blocks + init_resdnet(1, seed=4, num_filters=4).blocks
+        assert p.depth == 2
+        _, cache = resdnet_forward(rng(8).uniform(0, 255, size=(6, 6, 3)), 5.0, p)
+        assert len(cache.block_pre) == 4
+        save_model(p, tmp_path / "d.rdnc")
+        back = load_model(tmp_path / "d.rdnc")
+        assert back.depth == 2
+        a, b = p.flatten(), back.flatten()
+        assert list(a) == list(b)
+        for k in a:
+            assert np.array_equal(np.float32(a[k]), np.float32(b[k])), k
+
+    @pytest.mark.parametrize("header_depth", [1, 2])
+    def test_odd_block_count_is_rejected(self, tmp_path, header_depth):
+        p = init_resdnet(2, seed=5, num_filters=4)
+        p.blocks = p.blocks[:3]  # block00-block02, no partner for block02
+        path = tmp_path / "odd.rdnc"
+        save_model(p, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, header_depth)
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match="block03"):
+            load_model(path)
+
+    def test_from_flat_needs_block_pairs(self):
+        flat = init_resdnet(2, seed=5, num_filters=4).flatten()
+        odd = {k: v for k, v in flat.items() if not k.startswith("block03.")}
+        with pytest.raises(KeyError, match="block03.u"):
+            ResDNetParams.from_flat(odd)
+        assert ResDNetParams.from_flat(flat).depth == 2
 
 
 class TestParameterCount:
