@@ -178,6 +178,8 @@ def cmd_bilinear(args) -> int:
 
 
 def cmd_denoise(args) -> int:
+    if not 0.0 <= args.sigma < np.inf:
+        raise ValueError(f"--sigma must be finite and non-negative, got {args.sigma}")
     image = read_image(args.input)
     params = load_model(args.model)
     den = params.denoiser if isinstance(params, CascadeParams) else params

@@ -7,11 +7,14 @@ Layout (all integers unsigned 32-bit little-endian, floats 32-bit LE):
     then the zlib CRC-32 of every byte before it
 
 K = 0 marks a plain denoiser checkpoint without extrapolation weights or a
-noise schedule. The model is built from the arrays alone, and a header
-depth D that disagrees with its blocks is rejected. Round trips are
-bit-exact at 32-bit precision. Version 1 files, written before the
-checksum trailer, are still read; a version 2 file whose checksum does
-not match is rejected.
+noise schedule. Every array's name and shape is checked against
+``layer_shapes`` at the depth its blocks give and the filter count of
+``head.u``, plus ``cascade.w`` and ``cascade.sigmas`` of length K when
+K > 0; a missing, extra or misshapen array, or a header D that disagrees
+with the blocks, is rejected. No header field sizes the check, so a huge
+D fails at once. Round trips are bit-exact at 32-bit precision. Version 1
+files, written before the checksum trailer, are still read; a version 2
+file whose checksum does not match is rejected.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import CascadeParams
-from .resdnet import ResDNetParams, block_name
+from .resdnet import ResDNetParams, block_name, layer_shapes
 
 MAGIC = b"RDNC"
 VERSION = 2
@@ -36,16 +39,14 @@ class ModelFormatError(ValueError):
         self.offset = offset
 
 
-def _params_to_arrays(params) -> tuple[dict, int, int]:
-    if isinstance(params, CascadeParams):
-        return params.flatten(), params.denoiser.depth, params.steps
-    if isinstance(params, ResDNetParams):
-        return params.flatten(), params.depth, 0
-    raise TypeError(f"cannot serialize {type(params).__name__}")
-
-
 def save_model(params, path) -> None:
-    arrays, depth, steps = _params_to_arrays(params)
+    if isinstance(params, CascadeParams):
+        depth, steps = params.denoiser.depth, params.steps
+    elif isinstance(params, ResDNetParams):
+        depth, steps = params.depth, 0
+    else:
+        raise TypeError(f"cannot serialize {type(params).__name__}")
+    arrays = params.flatten()
     out = bytearray()
     out += MAGIC
     out += struct.pack("<IIII", VERSION, depth, steps, len(arrays))
@@ -104,16 +105,23 @@ def load_model(path):
         arrays[name] = data.astype(np.float64)
     if pos != len(raw):
         raise ModelFormatError("trailing bytes after last array", offset=pos)
-    try:
-        params = (CascadeParams if steps else ResDNetParams).from_flat(arrays)
-    except KeyError as exc:
-        raise ModelFormatError(f"no array {exc.args[0]!r} for depth {depth}") from exc
-    expected, found, _ = _params_to_arrays(params)
-    if found < depth:
-        raise ModelFormatError(f"no array '{block_name(2 * found)}.u' for depth {depth}")
-    if found > depth:
-        raise ModelFormatError(f"unexpected array '{block_name(2 * depth)}.u' for depth {depth}")
-    for name in arrays:
+    pairs = 0  # the table is sized by the arrays present, never by a header field
+    while f"{block_name(2 * pairs)}.u" in arrays:
+        pairs += 1
+    head = np.shape(arrays.get("head.u"))
+    expected = layer_shapes(pairs, head[0] if head else 0)
+    if steps:
+        expected.update({"cascade.w": (steps,), "cascade.sigmas": (steps,)})
+    for name in expected:
+        if name not in arrays:
+            raise ModelFormatError(f"no array {name!r} for depth {depth}")
+    if pairs != depth:
+        raise ModelFormatError(f"{'unexpected' if pairs > depth else 'no'} array "
+                               f"'{block_name(2 * min(pairs, depth))}.u' for depth {depth}")
+    for name, arr in arrays.items():
         if name not in expected:
             raise ModelFormatError(f"unexpected array {name!r} for depth {depth}")
-    return params
+        if arr.shape != expected[name]:
+            raise ModelFormatError(f"array {name!r} has shape {arr.shape}, "
+                                   f"expected {expected[name]}")
+    return (CascadeParams if steps else ResDNetParams).from_flat(arrays)

@@ -8,7 +8,10 @@ backward pass ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64
 patch at D=5, F=64): each PReLU's input and the tail input. The backward
 pass recomputes each PReLU output, 2D extra ``prelu`` calls and no
 convolution. All trainable tensors live in ResDNetParams; its depth D is
-read from its 2D blocks, never stored beside them. Each layer's
+read from its 2D blocks, never stored beside them. ``layer_shapes(D, F)``
+is the one statement of every array's shape: ``init_resdnet`` draws from
+it, ``parameter_breakdown`` sums it and ``load_model`` checks files
+against it. Each layer's
 parameters materialize its filters on first use (``ConvParams.bank``), so
 every later pass over the same parameter set shares them. Gradients are
 returned as a flat {name: array} dict: ``resdnet_backward`` gives each
@@ -18,7 +21,7 @@ into the ``ResDNetParams.flatten`` entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -147,24 +150,20 @@ class ConvParams:
 
 @dataclass(frozen=True)
 class BlockParams(ConvParams):
-    kappa: np.ndarray = field(default=None)  # PReLU slopes, one per channel
+    kappa: np.ndarray  # PReLU slopes, one per channel
 
 
 @dataclass
 class ResDNetParams:
-    head: ConvParams              # 5x5, 3 -> F
-    blocks: list                  # 2*D BlockParams, 3x3, F -> F
-    tail: ConvParams              # transposed 5x5 bank (F, 3, 5, 5), bias (3,)
+    head: ConvParams              # 3 -> F; every shape is in layer_shapes
+    blocks: list                  # 2*D BlockParams, F -> F
+    tail: ConvParams              # transposed, F -> 3
     gamma: float = 0.0
 
     @property
     def depth(self) -> int:
         """D, read from the blocks: the network has 2*D nonlinear blocks."""
         return len(self.blocks) // 2
-
-    @property
-    def num_filters(self) -> int:
-        return self.head.u.shape[0]
 
     def convs(self) -> dict:
         """The 2D + 2 convolution layers by name: head, block00..., tail."""
@@ -189,9 +188,7 @@ class ResDNetParams:
         blocks = []
         while f"{block_name(len(blocks))}.u" in flat or len(blocks) % 2:
             p = block_name(len(blocks))
-            blocks.append(
-                BlockParams(flat[f"{p}.u"], flat[f"{p}.s"], flat[f"{p}.bias"], flat[f"{p}.kappa"])
-            )
+            blocks.append(BlockParams(*(flat[f"{p}.{k}"] for k in ("u", "s", "bias", "kappa"))))
         tail = ConvParams(flat["tail.u"], flat["tail.s"], flat["tail.bias"])
         gamma = float(np.asarray(flat["gamma"]).ravel()[0])
         return cls(head=head, blocks=blocks, tail=tail, gamma=gamma)
@@ -214,6 +211,20 @@ class DenoiseCache:
     pre_clip: np.ndarray
 
 
+def layer_shapes(depth: int, num_filters: int) -> dict:
+    """{flat name: shape} of every trainable array of a D-deep, F-filter
+    network, in ``flatten`` order: the one statement of each layer's
+    filter shape, bias length and PReLU slopes. ``gamma`` is one scalar,
+    stored as shape (1,)."""
+    f, outer = num_filters, (num_filters, CHANNELS, HEAD_KERNEL, HEAD_KERNEL)
+    shapes = {"head.u": outer, "head.s": (f,), "head.bias": (f,)}
+    for i in range(2 * depth):
+        p = block_name(i)
+        shapes.update({f"{p}.u": (f, f, BLOCK_KERNEL, BLOCK_KERNEL), f"{p}.s": (f,),
+                       f"{p}.bias": (f,), f"{p}.kappa": (f,)})
+    return {**shapes, "tail.u": outer, "tail.s": (f,), "tail.bias": (CHANNELS,), "gamma": (1,)}
+
+
 def init_resdnet(depth: int, seed: int, num_filters: int = 64) -> ResDNetParams:
     """He-style initialization: raw filters ~ N(0, 2/fan_in), scales set to
     the actual centered-filter norms (so materialized filters equal the raw
@@ -221,25 +232,16 @@ def init_resdnet(depth: int, seed: int, num_filters: int = 64) -> ResDNetParams:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gen = np.random.Generator(np.random.Philox(key=seed))
-
-    def draw(out_ch, in_ch, k):
-        fan_in = in_ch * k * k
-        u = gen.normal(0.0, math.sqrt(2.0 / fan_in), size=(out_ch, in_ch, k, k))
-        w0 = u - u.mean(axis=(1, 2, 3), keepdims=True)
-        s = np.sqrt((w0 ** 2).sum(axis=(1, 2, 3)))
-        return u, s
-
-    hu, hs = draw(num_filters, CHANNELS, HEAD_KERNEL)
-    head = ConvParams(hu, hs, np.zeros(num_filters))
-    blocks = []
-    for _ in range(2 * depth):
-        bu, bs = draw(num_filters, num_filters, BLOCK_KERNEL)
-        blocks.append(
-            BlockParams(bu, bs, np.zeros(num_filters), np.full(num_filters, 0.25))
-        )
-    tu, ts = draw(num_filters, CHANNELS, HEAD_KERNEL)
-    tail = ConvParams(tu, ts, np.zeros(CHANNELS))
-    return ResDNetParams(head=head, blocks=blocks, tail=tail, gamma=0.0)
+    flat = {}
+    for name, shape in layer_shapes(depth, num_filters).items():
+        layer, _, kind = name.rpartition(".")
+        if kind == "u":
+            u = gen.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape)
+            w0 = u - u.mean(axis=(1, 2, 3), keepdims=True)
+            flat[name], flat[f"{layer}.s"] = u, np.sqrt((w0 ** 2).sum(axis=(1, 2, 3)))
+        elif kind != "s":  # each layer's scales are set with its filters
+            flat[name] = np.full(shape, 0.25 if kind == "kappa" else 0.0)
+    return ResDNetParams.from_flat(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +341,17 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
 
 
 def parameter_breakdown(depth: int = 5, num_filters: int = 64, steps: int = 10) -> dict:
-    """Per-group trainable-scalar counts.
+    """Per-group trainable-scalar counts, summed from ``layer_shapes``.
 
     The denoiser total counts raw filters, per-filter scales, biases, PReLU
     slopes and gamma; the cascade's extrapolation weights and noise schedule
     are listed separately.
     """
-    f, c = num_filters, CHANNELS
-    head = {
-        "head.u": f * c * HEAD_KERNEL ** 2,
-        "head.s": f,
-        "head.bias": f,
-    }
-    per_block = f * f * BLOCK_KERNEL ** 2 + 3 * f  # u + s + bias + kappa
-    blocks = {"blocks.total": 2 * depth * per_block}
-    tail = {
-        "tail.u": f * c * HEAD_KERNEL ** 2,
-        "tail.s": f,
-        "tail.bias": c,
-    }
-    groups = {**head, **blocks, **tail, "gamma": 1}
-    denoiser_total = sum(groups.values())
-    groups["denoiser_total"] = denoiser_total
-    groups["cascade.w"] = steps
-    groups["cascade.sigmas"] = steps
-    groups["total_with_schedule"] = denoiser_total + 2 * steps
+    groups = {}
+    for name, shape in layer_shapes(depth, num_filters).items():
+        group = "blocks.total" if name.startswith("block") else name
+        groups[group] = groups.get(group, 0) + math.prod(shape)
+    groups["denoiser_total"] = sum(groups.values())
+    groups["cascade.w"] = groups["cascade.sigmas"] = steps
+    groups["total_with_schedule"] = groups["denoiser_total"] + 2 * steps
     return groups

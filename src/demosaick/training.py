@@ -43,7 +43,7 @@ from .tensor_core import ShapeError
 # the values a config file may give each field type (annotations are strings)
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
-                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0,
+                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0, "seed": 0,
                   "weight_decay": 0, "sigma_lo": 0, "sigma_hi": 0, "train_sigma": 0}
 
 
@@ -88,7 +88,13 @@ class TrainConfig:
             if key in _CONFIG_MINIMA and value < _CONFIG_MINIMA[key]:
                 raise ValueError(f"config key {key!r} must be at least "
                                  f"{_CONFIG_MINIMA[key]}, got {value!r}")
-        return cls(**values)
+        cfg = cls(**values)
+        if cfg.lr <= 0:
+            raise ValueError(f"config key 'lr' must be positive, got {cfg.lr!r}")
+        if cfg.sigma_lo > cfg.sigma_hi:
+            raise ValueError(f"config key 'sigma_lo' must be at most sigma_hi = "
+                             f"{cfg.sigma_hi!r}, got {cfg.sigma_lo!r}")
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +118,22 @@ def loss(pred: np.ndarray, target: np.ndarray, kind: str):
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict, **kw) -> "AdamState":
+    def for_params(cls, params: dict) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            **kw,
         )
 
 
@@ -135,7 +142,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     """One Adam update with bias correction; l2 decay is added to the
     gradient as weight_decay * theta. Returns the updated parameter dict."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     out = {}
     for k, p in params.items():
         g = grads[k]
@@ -145,7 +152,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         state.v[k] = b2 * state.v[k] + (1 - b2) * g ** 2
         mhat = state.m[k] / (1 - b1 ** state.t)
         vhat = state.v[k] / (1 - b2 ** state.t)
-        out[k] = p - lr * mhat / (np.sqrt(vhat) + state.eps)
+        out[k] = p - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return out
 
 

@@ -124,6 +124,16 @@ class TestReconstructionCommands:
         assert code == 0
         assert read_image(out).shape == (8, 8, 3)
 
+    def test_denoise_rejects_infinite_sigma(self, clean_ppm, cascade_model, tmp_path, capsys):
+        """An infinite noise level would make the projection radius infinite,
+        so the residual would never be projected."""
+        path, _ = clean_ppm
+        out = tmp_path / "den.npy"
+        assert main(["denoise", str(path), "--model", str(cascade_model), "--sigma", "inf",
+                     "--out", str(out)]) == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", [".pgm", ".npy"])
     @pytest.mark.parametrize("command", ["bilinear", "demosaick"])
     def test_one_channel_raw_mosaic(self, clean_ppm, cascade_model, tmp_path, command, suffix):
@@ -361,6 +371,7 @@ class TestTrainingCommands:
         "batch_size = 0", "steps_per_epoch = -1", "patch_size = 0", "num_filters = 0",
         "lr_decay_every = -1", "checkpoint_every = -1",
         "lr = nan", "lr = inf", "train_sigma = -5.0", "sigma_lo = -1.0",
+        "lr = 0.0", "lr = -1.0", "sigma_lo = 20.0", "seed = -1",
     ])
     def test_malformed_config_value_is_data_error(self, data_dir, train_cfg, tmp_path, capsys,
                                                   line):

@@ -180,3 +180,64 @@ def test_version_1_file_loads_unchanged(tmp_path):
 def test_unserializable_type():
     with pytest.raises(TypeError):
         save_model({"w": np.zeros(3)}, "/tmp/never-written.rdnc")
+
+
+def write_arrays(path, arrays: dict, depth: int, steps: int) -> None:
+    """A version-2 file of ``arrays`` (any rank, 0 included) under the given
+    header, with a valid checksum."""
+    raw = bytearray(MAGIC + struct.pack("<IIII", 2, depth, steps, len(arrays)))
+    for name, arr in arrays.items():
+        data = np.asarray(arr, dtype="<f4")
+        raw += struct.pack(f"<I{len(name)}sI{data.ndim}I", len(name), name.encode(),
+                           data.ndim, *data.shape)
+        raw += data.tobytes()
+    path.write_bytes(bytes(raw + struct.pack("<I", zlib.crc32(raw))))
+
+
+@pytest.mark.parametrize("steps,edit,name", [
+    pytest.param(7, {}, "cascade.w", id="header-K-7-over-3-weights"),
+    pytest.param(3, {"head.bias": np.zeros(1)}, "head.bias", id="head-bias-1"),
+    pytest.param(3, {"block00.bias": np.zeros(1)}, "block00.bias", id="block-bias-1"),
+    pytest.param(3, {"gamma": np.zeros(3)}, "gamma", id="gamma-3"),
+    pytest.param(3, {"head.u": np.arange(108.0).reshape(4, 3, 3, 3)}, "head.u", id="head-u-3x3"),
+    pytest.param(3, {"gamma": np.zeros(0)}, "gamma", id="gamma-empty"),
+    pytest.param(3, {"head.u": np.float64(1.0)}, "head.u", id="head-u-rank-0"),
+])
+def test_array_shape_disagreeing_with_the_model_is_rejected(tmp_path, capsys, steps, edit,
+                                                            name):
+    """Every array's shape is checked against the model its blocks and
+    head give, and the weights' length against the header's steps: each
+    of these files, with a valid checksum, is a data error."""
+    path = tmp_path / "m.rdnc"
+    arrays = {**small_cascade(seed=13).flatten(), "gamma": np.zeros(1)}  # gamma as saved
+    write_arrays(path, {**arrays, **edit}, depth=1, steps=steps)
+    with pytest.raises(ModelFormatError, match=repr(name)):
+        load_model(path)
+
+    from demosaick.cli import main
+
+    obs, out = tmp_path / "obs.npy", tmp_path / "o.npy"
+    np.save(obs, np.full((6, 6, 3), 100.0))
+    assert main(["demosaick", str(obs), "--model", str(path), "--out", str(out)]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_header_depth_fails_at_once(tmp_path, monkeypatch):
+    """The table of expected shapes is sized by the arrays the file holds,
+    never by a header field, so a header depth of 2**32 - 1 is rejected at
+    once instead of building a table that deep."""
+    import demosaick.modelfile as modelfile
+
+    table = modelfile.layer_shapes
+
+    def bounded(depth, num_filters):
+        assert depth <= 2, f"expected-shape table sized to depth {depth}"
+        return table(depth, num_filters)
+
+    monkeypatch.setattr(modelfile, "layer_shapes", bounded)
+    path = tmp_path / "d.rdnc"
+    arrays = {**init_resdnet(1, seed=14, num_filters=4).flatten(), "gamma": np.zeros(1)}
+    write_arrays(path, arrays, depth=2**32 - 1, steps=0)
+    with pytest.raises(ModelFormatError, match="no array 'block02.u' for depth 4294967295"):
+        load_model(path)
