@@ -11,10 +11,11 @@ noise schedule. Every array's name and shape is checked against
 ``layer_shapes`` at the depth its blocks give and the filter count of
 ``head.u``, plus ``cascade.w`` and ``cascade.sigmas`` of length K when
 K > 0; a missing, extra or misshapen array, or a header D that disagrees
-with the blocks, is rejected. No header field sizes the check, so a huge
-D fails at once. Round trips are bit-exact at 32-bit precision. Version 1
-files, written before the checksum trailer, are still read; a version 2
-file whose checksum does not match is rejected.
+with the blocks, is rejected, as is a file with no filters. No header
+field sizes the check, so a huge D fails at once. Round trips are
+bit-exact at 32-bit precision. Version 1 files, written before the
+checksum trailer, are still read; a version 2 file whose checksum does
+not match is rejected.
 """
 from __future__ import annotations
 
@@ -124,4 +125,6 @@ def load_model(path):
         if arr.shape != expected[name]:
             raise ModelFormatError(f"array {name!r} has shape {arr.shape}, "
                                    f"expected {expected[name]}")
+    if not expected["head.u"][0]:
+        raise ModelFormatError("array 'head.u' has no filters")
     return (CascadeParams if steps else ResDNetParams).from_flat(arrays)

@@ -1,22 +1,24 @@
 """Residual denoising network: forward pass, exact analytic backward pass,
 normalized filter parametrization and the variance-aware projection layer.
 
-The network estimates the noise realization, rescales it so its l2 norm is
-at most eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input
-and clips to [0, 255]. A forward pass keeps 2D + 1 F-channel arrays for the
-backward pass ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64
-patch at D=5, F=64): each PReLU's input and the tail input. The backward
-pass recomputes each PReLU output, 2D extra ``prelu`` calls and no
-convolution. All trainable tensors live in ResDNetParams; its depth D is
-read from its 2D blocks, never stored beside them. ``layer_shapes(D, F)``
-is the one statement of every array's shape: ``init_resdnet`` draws from
-it, ``parameter_breakdown`` sums it and ``load_model`` checks files
-against it. Each layer's
-parameters materialize its filters on first use (``ConvParams.bank``), so
-every later pass over the same parameter set shares them. Gradients are
-returned as a flat {name: array} dict: ``resdnet_backward`` gives each
-layer's materialized-filter gradient, and ``filter_grads`` turns those
-into the ``ResDNetParams.flatten`` entries.
+The network is one local map and one global step, each with its adjoint.
+``residual`` (the head, 2D blocks and transposed tail) estimates the noise
+realization; each output pixel sees a bounded window of the input.
+``resdnet_forward`` then rescales that estimate so its l2 norm is at most
+eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input and
+clips to [0, 255]; ``resdnet_backward`` runs the clip's and projection's
+adjoints, then ``residual_backward``. A forward pass keeps 2D + 1 F-channel
+arrays ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64 patch at
+D=5, F=64): each PReLU's input and the tail input. The backward pass
+recomputes each PReLU output, 2D extra ``prelu`` calls and no convolution.
+All trainable tensors live in ResDNetParams; its depth D is read from its
+2D blocks. ``layer_shapes(D, F)`` is the one statement of every array's
+shape: ``init_resdnet`` draws from it, ``parameter_breakdown`` sums it and
+``load_model`` checks files against it. Each layer materializes its filters
+on first use (``ConvParams.bank``), shared by every later pass over the
+same parameters. Gradients are a flat {name: array} dict of each layer's
+materialized-filter gradient; ``filter_grads`` turns those into the
+``ResDNetParams.flatten`` entries.
 """
 from __future__ import annotations
 
@@ -264,36 +266,55 @@ def filter_grads(grads: dict, params: ResDNetParams) -> dict:
     return out
 
 
-def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
-    """Denoise ``x`` assuming noise level ``sigma``. Returns (output, cache)."""
-    if x.ndim != 3 or x.shape[2] != params.head.u.shape[1]:
-        raise ShapeError(f"expected (H, W, {params.head.u.shape[1]}) input, got {x.shape}")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+def residual(x: np.ndarray, params: ResDNetParams):
+    """The local map: head, the 2D blocks with a shortcut around each pair,
+    and the transposed tail. Returns (r, block_pre, tail_in): the noise
+    estimate, each PReLU's input and the tail's input."""
     h = conv2d(x, params.head.bank)
     block_pre = []
     for pair in range(params.depth):
         p = h
-        for j in (0, 1):
-            i = 2 * pair + j
+        for blk in params.blocks[2 * pair : 2 * pair + 2]:
             block_pre.append(h)
-            blk = params.blocks[i]
             h = conv2d(prelu(h, blk.kappa), blk.bank)
         h = p + h
-    tail_in = h
-    r = conv_transpose2d(h, params.tail.bank)
-    rp = project_noise(r, sigma, params.gamma)
-    pre = x - rp
-    out = clip(pre, 0.0, 255.0)
-    cache = DenoiseCache(
-        x=x,
-        sigma=sigma,
-        block_pre=block_pre,
-        tail_in=tail_in,
-        residual=r,
-        pre_clip=pre,
+    return conv_transpose2d(h, params.tail.bank), block_pre, h
+
+
+def residual_backward(g_r: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
+    """Adjoint of ``residual`` at ``cache``'s input: (g_x, grads), grads as
+    in ``resdnet_backward`` without ``gamma``."""
+    grads = {}
+    g_h, grads["tail.weights"], grads["tail.bias"] = conv_transpose2d_backward(
+        g_r, cache.tail_in, params.tail.bank
     )
-    return out, cache
+    layers = [(block_name(i), blk, pre)
+              for i, (blk, pre) in enumerate(zip(params.blocks, cache.block_pre))]
+    for pair in reversed(range(params.depth)):
+        g_p = g_h  # shortcut branch
+        for p, blk, pre in reversed(layers[2 * pair : 2 * pair + 2]):
+            a = prelu(pre, blk.kappa)  # recomputed, not cached
+            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(g_h, a, blk.bank)
+            g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, pre, blk.kappa)
+        g_h = g_h + g_p
+    g_x, grads["head.weights"], grads["head.bias"] = conv2d_backward(
+        g_h, cache.x, params.head.bank
+    )
+    return g_x, grads
+
+
+def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
+    """Denoise ``x`` assuming noise level ``sigma``: subtract the projected
+    ``residual`` and clip. Returns (output, cache)."""
+    if x.ndim != 3 or x.shape[2] != params.head.u.shape[1]:
+        raise ShapeError(f"expected (H, W, {params.head.u.shape[1]}) input, got {x.shape}")
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    r, block_pre, tail_in = residual(x, params)
+    pre = x - project_noise(r, sigma, params.gamma)
+    cache = DenoiseCache(x=x, sigma=sigma, block_pre=block_pre, tail_in=tail_in,
+                         residual=r, pre_clip=pre)
+    return clip(pre, 0.0, 255.0), cache
 
 
 def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
@@ -305,35 +326,13 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
     ``filter_grads`` once."""
     if grad_out.shape != cache.x.shape:
         raise ShapeError("grad_out shape does not match forward output")
-    grads = {}
     g_pre = clip_backward(grad_out, cache.pre_clip, 0.0, 255.0)
-    g_x = g_pre.copy()
-    g_rp = -g_pre
     g_r, g_gamma, g_sigma = project_noise_backward(
-        g_rp, cache.residual, cache.sigma, params.gamma
+        -g_pre, cache.residual, cache.sigma, params.gamma
     )
+    g_in, grads = residual_backward(g_r, cache, params)
     grads["gamma"] = np.asarray(g_gamma)
-
-    g_h, grads["tail.weights"], grads["tail.bias"] = conv_transpose2d_backward(
-        g_r, cache.tail_in, params.tail.bank
-    )
-
-    for pair in reversed(range(params.depth)):
-        g_p = g_h  # shortcut branch
-        for j in (1, 0):
-            i = 2 * pair + j
-            p = block_name(i)
-            blk = params.blocks[i]
-            a = prelu(cache.block_pre[i], blk.kappa)  # recomputed, not cached
-            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(g_h, a, blk.bank)
-            g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, cache.block_pre[i], blk.kappa)
-        g_h = g_h + g_p
-
-    g_in, grads["head.weights"], grads["head.bias"] = conv2d_backward(
-        g_h, cache.x, params.head.bank
-    )
-    g_x = g_x + g_in
-    return g_x, grads, g_sigma
+    return g_pre + g_in, grads, g_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .cascade import (
     demosaick_forward,
     init_schedule,
 )
-from .cfa import make_pattern, mosaic
+from .cfa import PATTERN_NAMES, make_pattern, mosaic
 from .metrics import psnr
 from .modelfile import save_model
 from .resdnet import (
@@ -43,8 +43,10 @@ from .tensor_core import ShapeError
 # the values a config file may give each field type (annotations are strings)
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
-                  "num_filters": 1, "lr_decay_every": 0, "checkpoint_every": 0, "seed": 0,
-                  "weight_decay": 0, "sigma_lo": 0, "sigma_hi": 0, "train_sigma": 0}
+                  "steps": 1, "depth": 1, "num_filters": 1, "lr_decay_every": 0,
+                  "checkpoint_every": 0, "seed": 0, "weight_decay": 0, "sigma_lo": 0,
+                  "sigma_hi": 0, "train_sigma": 0}
+_MAX_SEED = 2 ** 128 - 2  # Philox keys are below 2**128, and validation uses seed + 1
 
 
 @dataclass
@@ -89,11 +91,19 @@ class TrainConfig:
                 raise ValueError(f"config key {key!r} must be at least "
                                  f"{_CONFIG_MINIMA[key]}, got {value!r}")
         cfg = cls(**values)
-        if cfg.lr <= 0:
-            raise ValueError(f"config key 'lr' must be positive, got {cfg.lr!r}")
-        if cfg.sigma_lo > cfg.sigma_hi:
-            raise ValueError(f"config key 'sigma_lo' must be at most sigma_hi = "
-                             f"{cfg.sigma_hi!r}, got {cfg.sigma_lo!r}")
+        for key, bad, need in (
+            ("lr", cfg.lr <= 0, "positive"),
+            ("sigma_min", cfg.sigma_min <= 0, "positive"),
+            ("sigma_lo", cfg.sigma_lo > cfg.sigma_hi, f"at most sigma_hi = {cfg.sigma_hi!r}"),
+            ("sigma_max", cfg.sigma_max < cfg.sigma_min, f"at least sigma_min = {cfg.sigma_min!r}"),
+            ("seed", cfg.seed > _MAX_SEED, f"at most {_MAX_SEED}"),
+            ("pattern", cfg.pattern not in PATTERN_NAMES, f"one of {PATTERN_NAMES}"),
+        ):
+            if bad:
+                raise ValueError(f"config key {key!r} must be {need}, got {getattr(cfg, key)!r}")
+        if bool(cfg.checkpoint_every) != bool(cfg.checkpoint_path):
+            raise ValueError("config keys 'checkpoint_every' and 'checkpoint_path' must be "
+                             "given together: one without the other writes no checkpoint")
         return cfg
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.modelfile import MAGIC, ModelFormatError, load_model, save_model
-from demosaick.resdnet import ResDNetParams, init_resdnet
+from demosaick.resdnet import ResDNetParams, init_resdnet, layer_shapes
 
 
 def reseal(raw: bytearray) -> bytes:
@@ -202,6 +202,8 @@ def write_arrays(path, arrays: dict, depth: int, steps: int) -> None:
     pytest.param(3, {"head.u": np.arange(108.0).reshape(4, 3, 3, 3)}, "head.u", id="head-u-3x3"),
     pytest.param(3, {"gamma": np.zeros(0)}, "gamma", id="gamma-empty"),
     pytest.param(3, {"head.u": np.float64(1.0)}, "head.u", id="head-u-rank-0"),
+    pytest.param(3, {k: np.zeros(s) for k, s in layer_shapes(1, 0).items()}, "head.u",
+                 id="zero-filters"),
 ])
 def test_array_shape_disagreeing_with_the_model_is_rejected(tmp_path, capsys, steps, edit,
                                                             name):

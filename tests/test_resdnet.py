@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demosaick import resdnet
-from demosaick.gradcheck import check_resdnet
+from demosaick.gradcheck import check_resdnet, max_rel_error, numerical_gradient
 from demosaick.modelfile import ModelFormatError, load_model, save_model
 from demosaick.resdnet import (
     DegenerateFilterError,
@@ -21,7 +21,10 @@ from demosaick.resdnet import (
     project_noise_backward,
     resdnet_backward,
     resdnet_forward,
+    residual,
+    residual_backward,
 )
+from demosaick.tensor_core import FilterBank
 
 
 def rng(seed=0):
@@ -221,6 +224,52 @@ class TestForward:
         p = init_resdnet(1, seed=0, num_filters=8)
         with pytest.raises(Exception):
             resdnet_forward(np.zeros((8, 8, 2)), 1.0, p)
+
+
+class TestLocalMapAndGlobalStep:
+    """``resdnet_forward`` is ``residual`` followed by the projection,
+    subtraction and clip, and ``residual_backward`` is the adjoint of
+    ``residual``; each on both projection branches."""
+
+    @staticmethod
+    def net():
+        return init_resdnet(2, seed=21, num_filters=4), rng(22).uniform(20, 235, size=(8, 8, 3))
+
+    @pytest.mark.parametrize("sigma,projected", [(2.0, True), (1e4, False)])
+    def test_forward_is_residual_then_global_step(self, sigma, projected):
+        p, x = self.net()
+        out, cache = resdnet_forward(x, sigma, p)
+        r, block_pre, tail_in = residual(x, p)
+        eps = math.exp(p.gamma) * sigma * math.sqrt(x.size - 1)
+        assert (np.linalg.norm(r) > eps) == projected
+        pre = x - project_noise(r, sigma, p.gamma)
+        want = {"out": np.clip(pre, 0.0, 255.0), "x": x, "residual": r, "pre_clip": pre,
+                "tail_in": tail_in, **{f"block_pre{i}": a for i, a in enumerate(block_pre)}}
+        got = {"out": out, "x": cache.x, "residual": cache.residual, "pre_clip": cache.pre_clip,
+               "tail_in": cache.tail_in,
+               **{f"block_pre{i}": a for i, a in enumerate(cache.block_pre)}}
+        assert got.keys() == want.keys() and cache.sigma == sigma
+        for name, a in want.items():
+            assert got[name].tobytes() == a.tobytes(), name
+
+    @pytest.mark.parametrize("sigma", [2.0, 1e4])
+    def test_residual_backward_matches_finite_differences(self, sigma):
+        p, x = self.net()
+        c = rng(23).uniform(-1, 1, size=x.shape)
+        g_x, grads = residual_backward(c, resdnet_forward(x, sigma, p)[1], p)
+
+        def loss(xin, params):
+            return float((c * residual(xin, params)[0]).sum())
+
+        def block01_materialized_as(w):
+            blk = replace(p.blocks[1])
+            blk.__dict__["bank"] = FilterBank(w, blk.bias)  # in place of the cached one
+            return replace(p, blocks=[p.blocks[0], blk, *p.blocks[2:]])
+
+        w = p.blocks[1].bank.weights.copy()
+        assert max_rel_error(g_x, numerical_gradient(lambda a: loss(a, p), x.copy())) < 1e-4
+        numeric = numerical_gradient(lambda a: loss(x, block01_materialized_as(a)), w)
+        assert max_rel_error(grads["block01.weights"], numeric) < 1e-4
 
 
 class TestBackward:
