@@ -119,15 +119,26 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+# NoiseSpec field: (flag, type); a ``noise.<field>`` config key overrides the flag
+_NOISE_FLAGS = {"kind": ("--noise-kind", str), "sigma": ("--sigma", float),
+                "a_shot": ("--a-shot", float), "b_read": ("--b-read", float),
+                "seed": ("--seed", int)}
+
+
 def _noise_spec(args) -> NoiseSpec:
+    """The noise of ``mosaic``. A value NoiseSpec rejects is a data error
+    naming its flag, or its config key when the config set it."""
     values = parse_config_file(args.config) if args.config else {}
-    return NoiseSpec(
-        kind=values.get("noise.kind", args.noise_kind),
-        sigma=float(values.get("noise.sigma", args.sigma)),
-        a_shot=float(values.get("noise.a_shot", args.a_shot)),
-        b_read=float(values.get("noise.b_read", args.b_read)),
-        seed=int(values.get("noise.seed", args.seed)),
-    )
+    fields = {}
+    for field, (flag, kind) in _NOISE_FLAGS.items():
+        key = f"noise.{field}"
+        source = key if key in values else flag
+        try:
+            fields[field] = kind(values.get(key, getattr(args, flag[2:].replace("-", "_"))))
+            NoiseSpec(**{field: fields[field]})  # each field is checked on its own
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{source}: {exc}") from None
+    return NoiseSpec(**fields)
 
 
 def _load_cascade(args) -> CascadeParams:
@@ -261,6 +272,9 @@ def cmd_eval(args) -> int:
         srgb = psnr(linrgb_to_srgb(truth), linrgb_to_srgb(est))
         return (base, lin, srgb, elapsed)
 
+    # Large convolutions also split into row bands on tensor_core's shared
+    # pool. Each caller runs its own first band and no band submits work,
+    # so these threads cannot deadlock that pool.
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(run_one, pairs))
     rows.sort(key=lambda r: r[0])

@@ -7,6 +7,7 @@ choice so the noise statistics stay exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in (IID_GAUSSIAN, HETEROSCEDASTIC):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0 or self.a_shot < 0 or self.b_read < 0:
-            raise ValueError("noise parameters must be non-negative")
+        for name in ("sigma", "a_shot", "b_read"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"noise {name} must be finite and non-negative, got {value!r}")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise ValueError(f"noise seed must be in [0, 2**128), got {self.seed!r}")
 
 
 def standard_normal_field(shape, seed: int) -> np.ndarray:

@@ -23,9 +23,22 @@ the length L of one padded grid plus the largest offset. So each offset
 is one flat add over all channels onto C padded grids of length L, at
 i*Wp + j; the grids are then transposed back and their border folded
 onto the pixels it mirrors. Biases are added in place.
+
+A large convolution splits its patch copy and its ``cols @ filters`` GEMM
+into contiguous bands of image rows, one per CPU the process may run on:
+the calling thread runs the first band and a pool of worker threads the
+others, each filling its rows of buffers the caller allocated. BLAS sums
+each row of a large product in the same order whichever rows it is
+given, so the result is bitwise the same at any CPU count. A call with
+less than ``_MIN_WORK`` multiply-adds (or copied bytes) per band, a
+one-CPU process (``taskset -c 0``) and every sum over pixels (the weight
+gradients, ``_col2im``'s adds) stay in one band, which is the plain
+numpy expression; the pool starts on the first split.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,6 +143,78 @@ def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# row bands over the CPUs
+
+
+# Multiply-adds (or copied bytes) a band must hold before a call splits.
+# OpenBLAS sums a product over a subset of rows in another order when it
+# takes its small-matrix path (M*N*K <= 1e6); bands of at least half this
+# never do. A copied byte takes about as long as a multiply-add. A
+# desk-scale layer (F=8, 32x32: 0.6M of either) stays one band.
+_MIN_WORK = 1 << 22
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _band_pool():
+    """The worker threads of ``_in_bands``, started on the first split."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1),
+                                       thread_name_prefix="demosaick-band")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist there, so a
+    band queued on their pool would never run. The next split starts a
+    pool of the child's own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _band_count(rows: int, work: int) -> int:
+    """min(CPUs, rows, work // _MIN_WORK), at least 1. A call of one band
+    runs the plain numpy expression: desk-scale training ran about 10%
+    slower through the preallocated banded form."""
+    n = min(rows, work // _MIN_WORK)
+    return min(n, _cpu_count()) if n > 1 else 1
+
+
+def _in_bands(fn, rows: int, n: int) -> None:
+    """Run ``fn(lo, hi)`` over n contiguous bands [lo, hi) covering
+    range(rows), of sizes that differ by at most one row. The caller runs
+    the first band and waits for the rest. ``fn`` must only fill slices of
+    buffers the caller allocated, and call nothing that submits to the
+    pool: a caller's own band never waits on the pool, so callers on many
+    threads cannot deadlock it."""
+    bounds = [rows * i // n for i in range(n + 1)]
+    pool = _band_pool()
+    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(0, bounds[1])
+    finally:
+        for f in futures:
+            f.result()
+
+
+# ---------------------------------------------------------------------------
 # convolution: im2col + GEMM (Chellapilla, Puri & Simard, 2006)
 
 
@@ -140,7 +225,28 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     xp = np.ascontiguousarray(_pad_reflect(x, (k - 1) // 2))
     s0, s1, s2 = xp.strides
     patches = np.ndarray((H, W, k, k, C), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
-    return patches.reshape(H * W, k * k * C)
+    n = _band_count(H, H * W * k * k * C * xp.itemsize)
+    if n == 1:
+        return patches.reshape(H * W, k * k * C)
+    cols = np.empty((H * W, k * k * C), xp.dtype)
+    out = cols.reshape(patches.shape)
+    _in_bands(lambda lo, hi: np.copyto(out[lo:hi], patches[lo:hi]), H, n)
+    return cols
+
+
+def _cols_matmul(cols: np.ndarray, m: np.ndarray, H: int) -> np.ndarray:
+    """``cols @ m`` for the (H*W, K) patch matrix of an H-row image, in
+    bands of image rows. numpy runs a product with one row or one column
+    as a matrix-vector product, whose sums follow the row offset, so such
+    a product stays one band."""
+    (M, K), N = cols.shape, m.shape[1]
+    W = M // H if H else 0
+    n = _band_count(H, M * K * N) if min(W, N) > 1 else 1
+    if n == 1:
+        return cols @ m
+    y = np.empty((M, N), dtype=np.result_type(cols, m))
+    _in_bands(lambda lo, hi: np.matmul(cols[lo * W : hi * W], m, out=y[lo * W : hi * W]), H, n)
+    return y
 
 
 def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -194,7 +300,8 @@ def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
-    y = (_im2col(x, w.shape[2]) @ _filter_matrix(w)).reshape(x.shape[0], x.shape[1], -1)
+    H, W, _ = x.shape
+    y = _cols_matmul(_im2col(x, w.shape[2]), _filter_matrix(w), H).reshape(H, W, -1)
     y += filters.bias
     return y
 
@@ -240,7 +347,7 @@ def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: Filt
     if grad_out.shape != (x.shape[0], x.shape[1], filters.in_channels):
         raise ShapeError("grad_out shape does not match conv_transpose2d output")
     cols = _im2col(grad_out, w.shape[2])
-    gx = (cols @ _filter_matrix(w)).reshape(x.shape)
+    gx = _cols_matmul(cols, _filter_matrix(w), x.shape[0]).reshape(x.shape)
     gw = _filter_matrix_adjoint(cols.T @ x.reshape(-1, x.shape[2]), w.shape)
     gb = grad_out.sum(axis=(0, 1))
     return gx, gw, gb

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from demosaick import tensor_core
 from demosaick.cfa import CfaPattern
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -25,3 +26,33 @@ def mask_calls(monkeypatch):
     monkeypatch.setattr(CfaPattern, "mask",
                         lambda p, h, w: calls.append((h, w)) or build(p, h, w))
     return calls
+
+
+class _CountingPool:
+    """The band pool, counting the bands submitted to it."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, 0
+
+    def submit(self, *args):
+        self.tasks += 1
+        return self.pool.submit(*args)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` sets the CPU count the convolution kernels split over and
+    returns the band pool, whose ``tasks`` counts the bands it ran."""
+    counting, real = _CountingPool(None), tensor_core._band_pool
+
+    def band_pool():
+        counting.pool = counting.pool or real()
+        return counting
+
+    monkeypatch.setattr(tensor_core, "_band_pool", band_pool)
+
+    def set_count(n):
+        monkeypatch.setattr(tensor_core, "_cpu_count", lambda: n)
+        return counting
+
+    return set_count

@@ -84,6 +84,33 @@ class TestMosaicCommand:
         write_image(path, np.zeros((4, 4, 1)))
         assert main(["mosaic", str(path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["iid_gaussian", "heteroscedastic"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "inf"), ("--sigma", "nan"), ("--a-shot", "inf"), ("--a-shot", "nan"),
+        ("--b-read", "inf"), ("--b-read", "nan"), ("--seed", "-1"), ("--seed", str(2 ** 128)),
+    ])
+    def test_bad_noise_flag_is_data_error_naming_it(self, clean_ppm, tmp_path, capsys,
+                                                     kind, flag, value):
+        """A non-finite noise level, or a seed outside a Philox key's
+        [0, 2**128), is rejected before any noise is drawn."""
+        path, _ = clean_ppm
+        out = tmp_path / "obs.npy"
+        assert main(["mosaic", str(path), "--noise-kind", kind, f"{flag}={value}",
+                     "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["noise.sigma = inf", "noise.a_shot = nan",
+                                      "noise.b_read = -1.0", "noise.seed = -1"])
+    def test_bad_noise_key_is_data_error_naming_it(self, clean_ppm, tmp_path, capsys, line):
+        """A config key overrides its flag, so the message names the key."""
+        path, _ = clean_ppm
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"noise.kind = heteroscedastic\n{line}\n")
+        assert main(["mosaic", str(path), "--config", str(cfg), "--sigma", "1",
+                     "--out", str(tmp_path / "obs.npy")]) == 2
+        assert line.split(" ")[0] + ":" in capsys.readouterr().err
+
 
 class TestReconstructionCommands:
     def test_bilinear(self, clean_ppm, tmp_path):
@@ -268,6 +295,32 @@ class TestEvalCommand:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["eval", str(eval_dir), "--method", "bilinear", "--out", str(a)])
         main(["eval", str(eval_dir), "--method", "bilinear", "--out", str(b), "--threads", "3"])
+
+        def scores(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert scores(a) == scores(b)
+
+    def test_model_threads_match_serial(self, tmp_path, cpus):
+        """Paper-width layers (F=64) split their convolutions into row
+        bands while three images run at once; the scores are the serial
+        run's. Each caller runs its own first band and no band submits
+        work, so callers cannot deadlock the shared band pool."""
+        d = tmp_path / "eval"
+        d.mkdir()
+        for i in range(3):
+            img = np.round(rng(20 + i).uniform(0, 255, size=(48, 48, 3)))
+            write_image(d / f"im{i}_truth.ppm", img)
+            np.save(d / f"im{i}_input.npy", mosaic(img, make_pattern("bayer_rggb")).data)
+        model = tmp_path / "model.rdnc"
+        w, sigmas = init_schedule(2, 15.0, 1.0)
+        save_model(CascadeParams(init_resdnet(1, seed=2, num_filters=64), w, sigmas), model)
+        pool = cpus(2)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, "1"), (b, "3")):
+            assert main(["eval", str(d), "--model", str(model), "--out", str(out),
+                         "--threads", threads]) == 0
+        assert pool.tasks > 0
 
         def scores(path):
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]

@@ -58,6 +58,20 @@ def test_invalid_spec():
         NoiseSpec(sigma=-1.0)
 
 
+@pytest.mark.parametrize("field", ["sigma", "a_shot", "b_read"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_level_is_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"noise {field} must be finite"):
+        NoiseSpec(kind=HETEROSCEDASTIC, **{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_a_philox_key_is_rejected_by_name(seed):
+    with pytest.raises(ValueError, match="noise seed"):
+        NoiseSpec(sigma=1.0, seed=seed)
+    NoiseSpec(seed=2 ** 128 - 1)
+
+
 def test_output_not_clipped():
     x = np.zeros((100, 100, 1))
     out = add_noise(x, NoiseSpec(sigma=20.0, seed=3))

@@ -1,8 +1,17 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demosaick import tensor_core
 from demosaick.gradcheck import check_tensor_ops
 from demosaick.tensor_core import (
     DimensionError,
@@ -444,3 +453,140 @@ def test_finite_difference_all_ops():
     errs = check_tensor_ops(seed=0)
     for name, err in errs.items():
         assert err < 1e-6, f"{name}: {err}"
+
+
+# ---------------------------------------------------------------------------
+# row bands over the CPUs
+
+# (out, in, k) of the paper's layers: conv2d of the 3 -> 64 5x5 head and of
+# the 64 -> 64 3x3 blocks; conv_transpose2d_backward of the 64 -> 3 5x5 tail
+# (its GEMM runs on im2col of the 3-channel gradient)
+PAPER_FILTERS = [(64, 3, 5), (64, 64, 3)]
+# the last has fewer rows than bands
+BAND_SIZES = [(64, 64), (48, 96), (37, 53), (2, 2048)]
+
+
+def _banded_kernels(x, y, weights):
+    """conv2d and its backward, and the transposed backward, on x of in and
+    y of out channels."""
+    fwd = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[0]))
+    tr = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[1]))
+    return [conv2d(x, fwd), *conv2d_backward(y, x, fwd), *conv_transpose2d_backward(x, y, tr)]
+
+
+@pytest.mark.parametrize("h,w", BAND_SIZES)
+@pytest.mark.parametrize("cout,cin,k", PAPER_FILTERS)
+def test_row_bands_are_bitwise_one_band(cpus, h, w, cout, cin, k):
+    """Every output of the split kernels at 2, 3 and 4 CPUs has the bits
+    of the one-CPU run, and the GEMMs did split."""
+    gen = rng(h * w + cin)
+    x, y = gen.normal(size=(h, w, cin)), gen.normal(size=(h, w, cout))
+    weights = gen.normal(size=(cout, cin, k, k))
+    serial = cpus(1)
+    want = _banded_kernels(x, y, weights)
+    assert serial.tasks == 0
+    for n in (2, 3, 4):
+        pool = cpus(n)
+        before = pool.tasks
+        got = _banded_kernels(x, y, weights)
+        assert pool.tasks > before, n
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, (n, i)
+            assert np.array_equal(_bits(a), _bits(b)), (n, i)
+
+
+def test_one_column_product_stays_one_band(cpus):
+    """numpy runs a one-column product as a matrix-vector product, whose
+    sums follow the row offset, so it stays one band; a two-column one
+    splits. Both hold 2**23 multiply-adds, two bands' worth, and the odd
+    width puts the second band at an odd row."""
+    width = 466_037
+    cols = rng(16).normal(size=(2 * width, 9))
+    for n_out in (1, 2):
+        m = rng(n_out).normal(size=(9, n_out))
+        cpus(1)
+        want = tensor_core._cols_matmul(cols, m, 2)
+        pool = cpus(2)
+        got = tensor_core._cols_matmul(cols, m, 2)
+        assert np.array_equal(_bits(got), _bits(want)), n_out
+        assert (pool.tasks > 0) == (n_out > 1)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_bands_allocate_nothing_more(cpus):
+    """Workers fill slices of the buffers the caller allocated, in the
+    one-band order: padded input and patch matrix, then the patch matrix,
+    filter matrix and output. The traced peak is the larger of the two
+    sums, up to a few Python objects, far less than one band of a buffer."""
+    gen = rng(17)
+    x, y = gen.normal(size=(64, 64, 64)), gen.normal(size=(64, 64, 64))
+    fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
+    padded, patches, filters, out = 66 * 66 * 64 * 8, 4096 * 576 * 8, 576 * 64 * 8, 4096 * 64 * 8
+    bound = max(padded + patches, patches + filters + out) + 16 * 1024
+    calls = [lambda: conv2d(x, fb), lambda: conv_transpose2d_backward(x, y, fb)]
+    for call in calls:  # start the pool and the interned numpy state
+        cpus(2)
+        call()
+    for n in (1, 2):
+        cpus(n)
+        for i, call in enumerate(calls):
+            assert _traced_peak(call) <= bound, (n, i)
+
+
+def test_desk_scale_call_starts_no_thread(cpus, monkeypatch):
+    """A desk-scale layer (F=8, 32x32) stays one band on any CPU count: it
+    creates no pool and starts no thread."""
+    monkeypatch.setattr(tensor_core, "_pool", None)
+    monkeypatch.setattr(tensor_core, "_band_pool", lambda: pytest.fail("pool requested"))
+    monkeypatch.setattr(tensor_core, "_cpu_count", lambda: 4)
+    threads = threading.active_count()
+    gen = rng(18)
+    x, y = gen.normal(size=(32, 32, 8)), gen.normal(size=(32, 32, 8))
+    fb = FilterBank(gen.normal(size=(8, 8, 3, 3)), np.zeros(8))
+    _banded_kernels(x, y, fb.weights)
+    conv_transpose2d(y, fb)
+    assert tensor_core._pool is None
+    assert threading.active_count() == threads
+
+
+def _split_in_child(x, fb, want, results):
+    results.put(bool(np.array_equal(_bits(conv2d(x, fb)), _bits(want))))
+
+
+def test_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+    """A child forked after the pool started has none of its threads; its
+    first split starts a new pool instead of queueing on the dead one."""
+    monkeypatch.setattr(tensor_core, "_cpu_count", lambda: 2)
+    gen = rng(19)
+    x = gen.normal(size=(64, 64, 64))
+    fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
+    want = conv2d(x, fb)
+    assert tensor_core._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.SimpleQueue()
+    child = ctx.Process(target=_split_in_child, args=(x, fb, want, results))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("the forked child's split never finished")
+    assert child.exitcode == 0 and results.get() is True
+
+
+def test_import_starts_no_pool():
+    """Importing the package imports no executor machinery; the pool and
+    ``concurrent.futures`` come with the first split."""
+    src = str(Path(tensor_core.__file__).resolve().parents[1])
+    code = "import sys, demosaick; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
