@@ -272,9 +272,10 @@ def cmd_eval(args) -> int:
         srgb = psnr(linrgb_to_srgb(truth), linrgb_to_srgb(est))
         return (base, lin, srgb, elapsed)
 
-    # Large convolutions also split into row bands on tensor_core's shared
-    # pool. Each caller runs its own first band and no band submits work,
-    # so these threads cannot deadlock that pool.
+    # Large convolutions also split into bands on tensor_core's shared pool:
+    # the patch copy, every GEMM and col2im's adds. Each caller runs its own
+    # first band and no band submits work, so these threads cannot deadlock
+    # that pool.
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(run_one, pairs))
     rows.sort(key=lambda r: r[0])

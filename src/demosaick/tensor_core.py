@@ -24,16 +24,21 @@ is one flat add over all channels onto C padded grids of length L, at
 i*Wp + j; the grids are then transposed back and their border folded
 onto the pixels it mirrors. Biases are added in place.
 
-A large convolution splits its patch copy and its ``cols @ filters`` GEMM
-into contiguous bands of image rows, one per CPU the process may run on:
-the calling thread runs the first band and a pool of worker threads the
-others, each filling its rows of buffers the caller allocated. BLAS sums
-each row of a large product in the same order whichever rows it is
-given, so the result is bitwise the same at any CPU count. A call with
-less than ``_MIN_WORK`` multiply-adds (or copied bytes) per band, a
-one-CPU process (``taskset -c 0``) and every sum over pixels (the weight
-gradients, ``_col2im``'s adds) stay in one band, which is the plain
-numpy expression; the pool starts on the first split.
+A large convolution splits its work into contiguous bands, one per CPU
+the process may run on: the calling thread runs the first band and a pool
+of worker threads the others, each filling its part of buffers the caller
+allocated. The patch copy splits over image rows. Every GEMM (the
+forward ``cols @ filters``, both weight gradients and col2im's) splits
+over the rows of its left matrix: pixels, or for the weight gradients and
+col2im the k*k*in filter-matrix rows, so no sum over pixels moves. BLAS
+sums each row of a large product in the same order whichever rows it is
+given, when the right factor's columns fill whole 8-column blocks
+(``_COL_BLOCK``); any other product stays one band. col2im's adds split
+over contiguous ranges of the flat grid, each taking every offset's add
+in order. So the result is bitwise the same at any CPU count. A call with less than ``_MIN_WORK`` multiply-adds (or
+copied or added bytes) per band, a one-CPU process (``taskset -c 0``),
+the pad adjoint and the pointwise ops stay in one band, which is the
+plain numpy expression; the pool starts on the first split.
 """
 from __future__ import annotations
 
@@ -146,12 +151,19 @@ def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.nda
 # row bands over the CPUs
 
 
-# Multiply-adds (or copied bytes) a band must hold before a call splits.
-# OpenBLAS sums a product over a subset of rows in another order when it
-# takes its small-matrix path (M*N*K <= 1e6); bands of at least half this
-# never do. A copied byte takes about as long as a multiply-add. A
-# desk-scale layer (F=8, 32x32: 0.6M of either) stays one band.
+# Multiply-adds (or copied or added bytes) a band must hold before a call
+# splits. OpenBLAS sums a product over a subset of rows in another order
+# when it takes its small-matrix path (M*N*K <= 1e6); bands of at least
+# half this never do. A copied byte takes about as long as a multiply-add.
+# A desk-scale layer (F=8, 32x32: 0.6M of either) stays one band.
 _MIN_WORK = 1 << 22
+
+# A product whose right factor's columns end in a part of an 8-column
+# block got other bits in a few rows when run in bands of rows on OpenBLAS
+# 0.3.31 (75 x 64 @ 64 x 2109 split at row 37: rows 36 and 72), and with
+# two BLAS threads already at 63 columns. Products of whole blocks, or of
+# less than one, split at any row, were bitwise one band.
+_COL_BLOCK = 8
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -200,10 +212,11 @@ def _band_count(rows: int, work: int) -> int:
 def _in_bands(fn, rows: int, n: int) -> None:
     """Run ``fn(lo, hi)`` over n contiguous bands [lo, hi) covering
     range(rows), of sizes that differ by at most one row. The caller runs
-    the first band and waits for the rest. ``fn`` must only fill slices of
-    buffers the caller allocated, and call nothing that submits to the
-    pool: a caller's own band never waits on the pool, so callers on many
-    threads cannot deadlock it."""
+    the first band and waits for the rest. Its users are ``_im2col``'s
+    patch copy, ``_rows_matmul`` (every convolution GEMM) and ``_col2im``'s
+    adds. ``fn`` must only fill slices of buffers the caller allocated, and
+    call nothing that submits to the pool: a caller's own band never waits
+    on the pool, so callers on many threads cannot deadlock it."""
     bounds = [rows * i // n for i in range(n + 1)]
     pool = _band_pool()
     futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -234,19 +247,23 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _cols_matmul(cols: np.ndarray, m: np.ndarray, H: int) -> np.ndarray:
-    """``cols @ m`` for the (H*W, K) patch matrix of an H-row image, in
-    bands of image rows. numpy runs a product with one row or one column
-    as a matrix-vector product, whose sums follow the row offset, so such
-    a product stays one band."""
-    (M, K), N = cols.shape, m.shape[1]
-    W = M // H if H else 0
-    n = _band_count(H, M * K * N) if min(W, N) > 1 else 1
+def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, into ``out`` if given, in bands of ``a``'s rows, each band
+    writing its rows of the result. Every output element is one row of
+    ``a`` against one column of ``b``, so no sum moves. numpy runs a
+    product with one column, or a band of one row, as a matrix-vector
+    product, whose sums follow the row offset: a one-column product stays
+    one band and no band holds fewer than 2 rows. A ``b`` of more than
+    ``_COL_BLOCK`` columns splits only when they fill whole blocks."""
+    (M, K), N = a.shape, b.shape[1]
+    whole = N % _COL_BLOCK == 0 or 1 < N < _COL_BLOCK
+    n = _band_count(M // 2, M * K * N) if whole else 1
     if n == 1:
-        return cols @ m
-    y = np.empty((M, N), dtype=np.result_type(cols, m))
-    _in_bands(lambda lo, hi: np.matmul(cols[lo * W : hi * W], m, out=y[lo * W : hi * W]), H, n)
-    return y
+        return a @ b if out is None else np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((M, N), dtype=np.result_type(a, b))
+    _in_bands(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), M, n)
+    return out
 
 
 def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -259,7 +276,8 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     output, and of the grid, is L = n + reach long, with zeros past n, so
     each offset is one flat add over all channels. Its zeros land on the
     same channel's tail or the next channel's grid and change no bit: a
-    sum that starts at +0.0 is never -0.0."""
+    sum that starts at +0.0 is never -0.0. A large grid splits into
+    contiguous ranges, each taking every offset's add in the same order."""
     H, W, _ = y.shape
     C, k = w.shape[1], w.shape[2]
     pad = (k - 1) // 2
@@ -269,13 +287,25 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     yw = np.zeros((H, Wp, y.shape[2]), dtype=y.dtype)
     yw[:, :W] = y
     cols = np.empty((k * k * C, L), dtype=np.result_type(y, w))
-    np.matmul(_filter_matrix(w), yw.reshape(n, -1).T, out=cols[:, :n])
+    _rows_matmul(_filter_matrix(w), yw.reshape(n, -1).T, out=cols[:, :n])
     cols[:, n:] = 0.0
     cols = cols.reshape(k * k, C * L)
     gp = np.zeros(C * L + reach, dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            gp[i * Wp + j : i * Wp + j + C * L] += cols[i * k + j]
+    bands = _band_count(gp.size, cols.nbytes)
+    if bands == 1:
+        for i in range(k):
+            for j in range(k):
+                gp[i * Wp + j : i * Wp + j + C * L] += cols[i * k + j]
+    else:
+        def add(lo, hi):
+            for i in range(k):
+                for j in range(k):
+                    off = i * Wp + j
+                    a, b = max(lo, off), min(hi, off + C * L)
+                    if a < b:
+                        gp[a:b] += cols[i * k + j, a - off : b - off]
+
+        _in_bands(add, gp.size, bands)
     gp = gp[: C * L].reshape(C, L)[:, : n + 2 * pad * Wp]
     gp = gp.reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
     return _pad_reflect_adjoint(gp, H, W, pad)
@@ -301,7 +331,7 @@ def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
     H, W, _ = x.shape
-    y = _cols_matmul(_im2col(x, w.shape[2]), _filter_matrix(w), H).reshape(H, W, -1)
+    y = _rows_matmul(_im2col(x, w.shape[2]), _filter_matrix(w)).reshape(H, W, -1)
     y += filters.bias
     return y
 
@@ -313,7 +343,7 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[0]):
         raise ShapeError("grad_out shape does not match conv2d output")
     g = grad_out.reshape(-1, w.shape[0])
-    gw = _filter_matrix_adjoint(_im2col(x, k).T @ g, w.shape)
+    gw = _filter_matrix_adjoint(_rows_matmul(_im2col(x, k).T, g), w.shape)
     gb = grad_out.sum(axis=(0, 1))
     return _col2im(grad_out, w), gw, gb
 
@@ -347,8 +377,8 @@ def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: Filt
     if grad_out.shape != (x.shape[0], x.shape[1], filters.in_channels):
         raise ShapeError("grad_out shape does not match conv_transpose2d output")
     cols = _im2col(grad_out, w.shape[2])
-    gx = _cols_matmul(cols, _filter_matrix(w), x.shape[0]).reshape(x.shape)
-    gw = _filter_matrix_adjoint(cols.T @ x.reshape(-1, x.shape[2]), w.shape)
+    gx = _rows_matmul(cols, _filter_matrix(w)).reshape(x.shape)
+    gw = _filter_matrix_adjoint(_rows_matmul(cols.T, x.reshape(-1, x.shape[2])), w.shape)
     gb = grad_out.sum(axis=(0, 1))
     return gx, gw, gb
 

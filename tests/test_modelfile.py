@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.modelfile import MAGIC, ModelFormatError, load_model, save_model
@@ -243,3 +245,40 @@ def test_huge_header_depth_fails_at_once(tmp_path, monkeypatch):
     write_arrays(path, arrays, depth=2**32 - 1, steps=0)
     with pytest.raises(ModelFormatError, match="no array 'block02.u' for depth 4294967295"):
         load_model(path)
+
+
+
+# a header field kept (None), one off its saved value, or any 32-bit value
+_FIELD = st.one_of(st.none(), st.sampled_from([-1, 1]), st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.tuples(_FIELD, _FIELD, _FIELD, _FIELD))
+def test_mutated_header_is_rejected_or_read_as_written(tmp_path, steps, fields):
+    """A saved D=1, F=2 model (a plain denoiser at K = 0) with its version,
+    D, K and array count rewritten and the checksum recomputed either
+    raises ``ModelFormatError`` or loads as a model whose depth and steps
+    are the header's."""
+    den = init_resdnet(1, seed=15, num_filters=2)
+    path = tmp_path / "m.rdnc"
+    save_model(CascadeParams(den, *init_schedule(steps, 15.0, 1.0)) if steps else den, path)
+    raw = bytearray(path.read_bytes())
+    header = list(struct.unpack_from("<IIII", raw, 4))
+    for i, field in enumerate(fields):
+        if field in (-1, 1):
+            header[i] = (header[i] + field) % 2**32
+        elif field is not None:
+            header[i] = field
+    struct.pack_into("<IIII", raw, 4, *header)
+    path.write_bytes(reseal(raw))
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    _, depth, header_steps, _ = header
+    if isinstance(model, CascadeParams):
+        assert (model.denoiser.depth, model.steps) == (depth, header_steps)
+    else:
+        assert (model.depth, 0) == (depth, header_steps)

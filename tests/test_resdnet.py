@@ -325,6 +325,27 @@ class TestBackward:
         for want, got in zip(forward_acts, reversed(recomputed)):
             assert np.array_equal(want.view(np.int64), got.view(np.int64))
 
+    def test_gradients_are_bitwise_at_any_cpu_count(self, cpus):
+        """Every convolution of a paper-width block (F=64, 48x48) splits at 2
+        CPUs, and the whole backward pass, all of its splits composed,
+        returns the bits of the one-CPU run."""
+        p = init_resdnet(1, seed=18, num_filters=64)
+        x = rng(19).uniform(0, 255, size=(48, 48, 3))
+        g = rng(20).normal(size=x.shape)
+        cpus(1)
+        _, cache = resdnet_forward(x, 10.0, p)
+        want_x, want, want_sigma = resdnet_backward(g, cache, p)
+        pool = cpus(2)
+        before = pool.tasks
+        got_x, got, got_sigma = resdnet_backward(g, cache, p)
+        assert pool.tasks > before
+        assert np.array_equal(got_x.view(np.int64), want_x.view(np.int64))
+        assert np.asarray(got_sigma).view(np.int64) == np.asarray(want_sigma).view(np.int64)
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            assert np.array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(want[name]).view(np.int64)), name
+
     def test_prelu_kappa_grad_zero_for_positive_input(self):
         from demosaick.tensor_core import prelu_backward
 

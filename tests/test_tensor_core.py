@@ -458,41 +458,59 @@ def test_finite_difference_all_ops():
 # ---------------------------------------------------------------------------
 # row bands over the CPUs
 
-# (out, in, k) of the paper's layers: conv2d of the 3 -> 64 5x5 head and of
-# the 64 -> 64 3x3 blocks; conv_transpose2d_backward of the 64 -> 3 5x5 tail
-# (its GEMM runs on im2col of the 3-channel gradient)
+# (out, in, k) of the paper's layers: the 3 -> 64 5x5 head and the 64 -> 64
+# 3x3 blocks, which also give the transposed 64 -> 3 5x5 tail and its
+# backward (whose GEMMs run on im2col of the 3-channel gradient)
 PAPER_FILTERS = [(64, 3, 5), (64, 64, 3)]
 # the last has fewer rows than bands
 BAND_SIZES = [(64, 64), (48, 96), (37, 53), (2, 2048)]
 
 
-def _banded_kernels(x, y, weights):
-    """conv2d and its backward, and the transposed backward, on x of in and
-    y of out channels."""
+def _kernel_calls(x, y, weights):
+    """{name: call returning its outputs} of conv2d and its backward, and of
+    the transposed convolution and its backward, on x of in and y of out
+    channels."""
     fwd = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[0]))
     tr = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[1]))
-    return [conv2d(x, fwd), *conv2d_backward(y, x, fwd), *conv_transpose2d_backward(x, y, tr)]
+    return {
+        "conv2d": lambda: [conv2d(x, fwd)],
+        "conv2d_backward": lambda: list(conv2d_backward(y, x, fwd)),
+        "conv_transpose2d": lambda: [conv_transpose2d(y, tr)],
+        "conv_transpose2d_backward": lambda: list(conv_transpose2d_backward(x, y, tr)),
+    }
+
+
+def _banded_kernels(x, y, weights):
+    """Every output of the four convolution kernels."""
+    return [a for call in _kernel_calls(x, y, weights).values() for a in call()]
+
+
+# The one call that stays one band: the 3-channel tail's conv_transpose2d
+# on 37x53, whose col2im GEMM has 37 * 57 columns (not whole 8-column
+# blocks) and whose adds hold 1.4 MB.
+ONE_BAND = {(37, 53, 3, "conv_transpose2d")}
 
 
 @pytest.mark.parametrize("h,w", BAND_SIZES)
 @pytest.mark.parametrize("cout,cin,k", PAPER_FILTERS)
 def test_row_bands_are_bitwise_one_band(cpus, h, w, cout, cin, k):
-    """Every output of the split kernels at 2, 3 and 4 CPUs has the bits
-    of the one-CPU run, and the GEMMs did split."""
+    """Every output of the four kernels at 2, 3 and 4 CPUs has the bits of
+    the one-CPU run, and each kernel did split."""
     gen = rng(h * w + cin)
     x, y = gen.normal(size=(h, w, cin)), gen.normal(size=(h, w, cout))
-    weights = gen.normal(size=(cout, cin, k, k))
+    calls = _kernel_calls(x, y, gen.normal(size=(cout, cin, k, k)))
     serial = cpus(1)
-    want = _banded_kernels(x, y, weights)
+    want = {name: call() for name, call in calls.items()}
     assert serial.tasks == 0
     for n in (2, 3, 4):
         pool = cpus(n)
-        before = pool.tasks
-        got = _banded_kernels(x, y, weights)
-        assert pool.tasks > before, n
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert a.shape == b.shape, (n, i)
-            assert np.array_equal(_bits(a), _bits(b)), (n, i)
+        for name, call in calls.items():
+            before = pool.tasks
+            got = call()
+            assert (pool.tasks > before) != ((h, w, cin, name) in ONE_BAND), (n, name)
+            for i, (a, b) in enumerate(zip(got, want[name])):
+                assert a.shape == b.shape, (n, name, i)
+                assert np.array_equal(_bits(a), _bits(b)), (n, name, i)
 
 
 def test_one_column_product_stays_one_band(cpus):
@@ -505,11 +523,54 @@ def test_one_column_product_stays_one_band(cpus):
     for n_out in (1, 2):
         m = rng(n_out).normal(size=(9, n_out))
         cpus(1)
-        want = tensor_core._cols_matmul(cols, m, 2)
+        want = tensor_core._rows_matmul(cols, m)
         pool = cpus(2)
-        got = tensor_core._cols_matmul(cols, m, 2)
+        got = tensor_core._rows_matmul(cols, m)
         assert np.array_equal(_bits(got), _bits(want)), n_out
         assert (pool.tasks > 0) == (n_out > 1)
+
+
+@pytest.mark.parametrize("depth,n_cols,splits", [(64, 2109, False), (64, 2112, True),
+                                                 (2048, 63, False), (2048, 64, True)])
+def test_product_splits_in_whole_column_blocks(cpus, depth, n_cols, splits):
+    """A product of 75 rows, as col2im's GEMM of the 3-channel 5x5 layers
+    (k*k*C filter-matrix rows times the padded grid's columns): with more
+    than 8 columns it splits only as whole 8-column blocks (2109 columns
+    split at row 37 changed the bits of rows 36 and 72; 63 columns did
+    with two BLAS threads). Each holds 2**23 multiply-adds or more, two
+    bands' worth, and has the bits of one band."""
+    gen = rng(21)
+    a, b = gen.normal(size=(75, depth)), gen.normal(size=(depth, n_cols))
+    cpus(1)
+    want = tensor_core._rows_matmul(a, b)
+    pool = cpus(2)
+    got = tensor_core._rows_matmul(a, b)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert (pool.tasks > 0) == splits
+
+
+def test_one_filter_weight_gradient_stays_one_band(cpus):
+    """The weight-gradient GEMM of a one-filter layer, the transposed
+    (k*k*in, H*W) patch matrix times the (H*W, 1) output gradient, is a
+    one-column product: it stays one band, and conv2d_backward is bitwise
+    its one-CPU run; with two filters the same GEMM splits."""
+    gen = rng(20)
+    x = gen.normal(size=(64, 128, 64))
+    cpus(1)
+    patches = _im2col(x, 3).T
+    for n_out in (1, 2):
+        g = gen.normal(size=(64 * 128, n_out))
+        fb = FilterBank(gen.normal(size=(n_out, 64, 3, 3)), np.zeros(n_out))
+        cpus(1)
+        want = [tensor_core._rows_matmul(patches, g),
+                *conv2d_backward(g.reshape(64, 128, n_out), x, fb)]
+        pool = cpus(2)
+        before = pool.tasks
+        got = [tensor_core._rows_matmul(patches, g)]
+        assert (pool.tasks > before) == (n_out > 1), n_out
+        got += conv2d_backward(g.reshape(64, 128, n_out), x, fb)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(_bits(a), _bits(b)), (n_out, i)
 
 
 def _traced_peak(fn):
@@ -523,22 +584,38 @@ def _traced_peak(fn):
 
 def test_row_bands_allocate_nothing_more(cpus):
     """Workers fill slices of the buffers the caller allocated, in the
-    one-band order: padded input and patch matrix, then the patch matrix,
-    filter matrix and output. The traced peak is the larger of the two
-    sums, up to a few Python objects, far less than one band of a buffer."""
+    one-band order. conv2d and the transposed backward hold at most the
+    padded input and patch matrix, then the patch matrix, filter matrix
+    and output; conv2d_backward and conv_transpose2d at most the patch
+    matrix, col2im's (k*k*C, L) GEMM buffer and its grid. The traced peak
+    is that sum, and at 2 CPUs the peak of the one-CPU run, up to a few
+    Python objects: far less than one band of a buffer."""
     gen = rng(17)
     x, y = gen.normal(size=(64, 64, 64)), gen.normal(size=(64, 64, 64))
     fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
     padded, patches, filters, out = 66 * 66 * 64 * 8, 4096 * 576 * 8, 576 * 64 * 8, 4096 * 64 * 8
-    bound = max(padded + patches, patches + filters + out) + 16 * 1024
-    calls = [lambda: conv2d(x, fb), lambda: conv_transpose2d_backward(x, y, fb)]
-    for call in calls:  # start the pool and the interned numpy state
+    reach = 2 * 67  # the largest patch offset on the 66-px padded width
+    L = 64 * 66 + reach
+    col2im, grid = 576 * L * 8, (64 * L + reach) * 8
+    slack = 16 * 1024
+    lowered = max(padded + patches, patches + filters + out)
+    calls = {
+        "conv2d": (lambda: conv2d(x, fb), lowered),
+        "conv_transpose2d_backward": (lambda: conv_transpose2d_backward(x, y, fb), lowered),
+        "conv2d_backward": (lambda: conv2d_backward(y, x, fb), patches + col2im + grid),
+        "conv_transpose2d": (lambda: conv_transpose2d(y, fb), patches + col2im + grid),
+    }
+    for call, _ in calls.values():  # start the pool and the interned numpy state
         cpus(2)
         call()
+    peaks = {}
     for n in (1, 2):
         cpus(n)
-        for i, call in enumerate(calls):
-            assert _traced_peak(call) <= bound, (n, i)
+        for name, (call, bound) in calls.items():
+            peaks[n, name] = _traced_peak(call)
+            assert peaks[n, name] <= bound + slack, (n, name)
+    for name in calls:
+        assert peaks[2, name] <= peaks[1, name] + slack, name
 
 
 def test_desk_scale_call_starts_no_thread(cpus, monkeypatch):
