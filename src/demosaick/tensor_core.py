@@ -30,15 +30,20 @@ of worker threads the others, each filling its part of buffers the caller
 allocated. The patch copy splits over image rows. Every GEMM (the
 forward ``cols @ filters``, both weight gradients and col2im's) splits
 over the rows of its left matrix: pixels, or for the weight gradients and
-col2im the k*k*in filter-matrix rows, so no sum over pixels moves. BLAS
-sums each row of a large product in the same order whichever rows it is
-given, when the right factor's columns fill whole 8-column blocks
-(``_COL_BLOCK``); any other product stays one band. col2im's adds split
-over contiguous ranges of the flat grid, each taking every offset's add
-in order. So the result is bitwise the same at any CPU count. A call with less than ``_MIN_WORK`` multiply-adds (or
-copied or added bytes) per band, a one-CPU process (``taskset -c 0``),
-the pad adjoint and the pointwise ops stay in one band, which is the
-plain numpy expression; the pool starts on the first split.
+col2im the k*k*in filter-matrix rows, so no sum over pixels moves. col2im's
+adds split over contiguous ranges of the flat grid, each taking every
+offset's add in order. BLAS sums each row of a large product in the same
+order whichever rows it is given only on some shapes, so a product splits
+only when its right factor's columns fill whole 8-column blocks
+(``_COL_BLOCK``) and each band holds ``_MIN_ROWS`` rows. Under those two
+rules every split scanned on OpenBLAS 0.3.31's Haswell kernels, with one,
+two or four BLAS threads, had the bits of one band, and so does every test
+and benchmark workload at any CPU count; another BLAS build or CPU may
+block its products differently. A call with less than ``_MIN_WORK``
+multiply-adds (or copied or added bytes) per band, a one-CPU process
+(``taskset -c 0``), the pad adjoint and the pointwise ops stay in one
+band, which is the plain numpy expression; the pool starts on the first
+split.
 """
 from __future__ import annotations
 
@@ -158,12 +163,23 @@ def _pad_reflect_adjoint(gp: np.ndarray, n_h: int, n_w: int, pad: int) -> np.nda
 # A desk-scale layer (F=8, 32x32: 0.6M of either) stays one band.
 _MIN_WORK = 1 << 22
 
-# A product whose right factor's columns end in a part of an 8-column
-# block got other bits in a few rows when run in bands of rows on OpenBLAS
-# 0.3.31 (75 x 64 @ 64 x 2109 split at row 37: rows 36 and 72), and with
-# two BLAS threads already at 63 columns. Products of whole blocks, or of
-# less than one, split at any row, were bitwise one band.
+# Rules found by scanning band splits against one band on OpenBLAS 0.3.31's
+# Haswell dgemm kernel; another build or CPU may block its products
+# differently. A product whose right factor's columns end in a part of an
+# 8-column block got other bits in a few rows when run in bands of rows
+# (75 x 64 @ 64 x 2109 split at row 37: rows 36 and 72), and with two BLAS
+# threads already at 63 columns. Products of whole blocks, or of less than
+# one, split at any row, were bitwise one band.
 _COL_BLOCK = 8
+
+# With several BLAS threads, a product of fewer than 32 columns and a deep
+# inner dimension (a weight gradient's H*W pixels, 4e4 or more) got other
+# bits in bands of 16 rows or fewer cut from more (24 to 64 rows, 2 to 24
+# columns, at two and four BLAS threads and two to four bands); bands of 17
+# rows or more, and every split with one BLAS thread, were bitwise. So a
+# band holds at least this many rows, which still splits the 75-row
+# products of the 5x5 3-channel layers in two.
+_MIN_ROWS = 32
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -251,13 +267,13 @@ def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     """``a @ b``, into ``out`` if given, in bands of ``a``'s rows, each band
     writing its rows of the result. Every output element is one row of
     ``a`` against one column of ``b``, so no sum moves. numpy runs a
-    product with one column, or a band of one row, as a matrix-vector
-    product, whose sums follow the row offset: a one-column product stays
-    one band and no band holds fewer than 2 rows. A ``b`` of more than
-    ``_COL_BLOCK`` columns splits only when they fill whole blocks."""
+    product with one column as a matrix-vector product, whose sums follow
+    the row offset, so it stays one band. A ``b`` of more than
+    ``_COL_BLOCK`` columns splits only when they fill whole blocks, and no
+    band holds fewer than ``_MIN_ROWS`` rows."""
     (M, K), N = a.shape, b.shape[1]
     whole = N % _COL_BLOCK == 0 or 1 < N < _COL_BLOCK
-    n = _band_count(M // 2, M * K * N) if whole else 1
+    n = _band_count(M // _MIN_ROWS, M * K * N) if whole else 1
     if n == 1:
         return a @ b if out is None else np.matmul(a, b, out=out)
     if out is None:
@@ -291,20 +307,19 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     cols[:, n:] = 0.0
     cols = cols.reshape(k * k, C * L)
     gp = np.zeros(C * L + reach, dtype=cols.dtype)
-    bands = _band_count(gp.size, cols.nbytes)
-    if bands == 1:
+
+    def add(lo, hi):
         for i in range(k):
             for j in range(k):
-                gp[i * Wp + j : i * Wp + j + C * L] += cols[i * k + j]
-    else:
-        def add(lo, hi):
-            for i in range(k):
-                for j in range(k):
-                    off = i * Wp + j
-                    a, b = max(lo, off), min(hi, off + C * L)
-                    if a < b:
-                        gp[a:b] += cols[i * k + j, a - off : b - off]
+                off = i * Wp + j
+                a, b = max(lo, off), min(hi, off + C * L)
+                if a < b:
+                    gp[a:b] += cols[i * k + j, a - off : b - off]
 
+    bands = _band_count(gp.size, cols.nbytes)
+    if bands == 1:
+        add(0, gp.size)
+    else:
         _in_bands(add, gp.size, bands)
     gp = gp[: C * L].reshape(C, L)[:, : n + 2 * pad * Wp]
     gp = gp.reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)

@@ -573,6 +573,55 @@ def test_one_filter_weight_gradient_stays_one_band(cpus):
             assert np.array_equal(_bits(a), _bits(b)), (n_out, i)
 
 
+@pytest.mark.parametrize("rows,splits", [(24, False), (63, False), (64, True), (75, True)])
+def test_deep_product_splits_in_bands_of_min_rows(cpus, rows, splits):
+    """A weight gradient's transposed patch matrix times a 16-column output
+    gradient of a 200x201 patch: with two BLAS threads, 24 rows split at
+    row 12 changed the bits of every row. Bands hold 32 rows or more, so
+    fewer than 64 rows stay one band; each has the bits of one band."""
+    gen = rng(22)
+    a, b = gen.normal(size=(200 * 201, rows)).T, gen.normal(size=(200 * 201, 16))
+    cpus(1)
+    want = tensor_core._rows_matmul(a, b)
+    pool = cpus(2)
+    got = tensor_core._rows_matmul(a, b)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert (pool.tasks > 0) == splits
+
+
+def test_small_layer_on_a_large_patch_is_bitwise_one_band(cpus):
+    """The 3x3 block layers of a three-filter model trained on 322-px
+    patches: each weight gradient is a 27-row product over 103,684 pixels.
+    Split in bands of 13 and 14 rows, both had other bits with two BLAS
+    threads; both backward passes now have the bits of the one-CPU run."""
+    gen = rng(23)
+    x, y = gen.normal(size=(322, 322, 3)), gen.normal(size=(322, 322, 3))
+    fb = FilterBank(gen.normal(size=(3, 3, 3, 3)), np.zeros(3))
+    cpus(1)
+    want = [*conv2d_backward(y, x, fb), *conv_transpose2d_backward(x, y, fb)]
+    cpus(2)
+    got = [*conv2d_backward(y, x, fb), *conv_transpose2d_backward(x, y, fb)]
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(_bits(a), _bits(b)), i
+
+
+@pytest.mark.parametrize("f", [12, 100])
+def test_odd_filter_count_is_bitwise_one_band(cpus, f):
+    """A 3x3 F -> F layer whose filter count is not a multiple of 8: its
+    F-column GEMMs stay one band, and every output of the four kernels at
+    2, 3 and 4 CPUs has the bits of the one-CPU run."""
+    gen = rng(24 + f)
+    x, y = gen.normal(size=(64, 64, f)), gen.normal(size=(64, 64, f))
+    calls = _kernel_calls(x, y, gen.normal(size=(f, f, 3, 3)))
+    cpus(1)
+    want = {name: call() for name, call in calls.items()}
+    for n in (2, 3, 4):
+        cpus(n)
+        for name, call in calls.items():
+            for i, (a, b) in enumerate(zip(call(), want[name])):
+                assert np.array_equal(_bits(a), _bits(b)), (n, name, i)
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
