@@ -9,8 +9,10 @@ eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input and
 clips to [0, 255]; ``resdnet_backward`` runs the clip's and projection's
 adjoints, then ``residual_backward``. A forward pass keeps 2D + 1 F-channel
 arrays ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64 patch at
-D=5, F=64): each PReLU's input and the tail input. The backward pass
-recomputes each PReLU output, 2D extra ``prelu`` calls and no convolution.
+D=5, F=64): each PReLU's input and the tail input. Each block layer is
+one ``conv2d`` call that applies its PReLU while it pads (``slopes=``);
+its ``conv2d_backward`` applies it again to the cached input the same way,
+so no PReLU output is kept or computed apart.
 All trainable tensors live in ResDNetParams; its depth D is read from its
 2D blocks. ``layer_shapes(D, F)`` is the one statement of every array's
 shape: ``init_resdnet`` draws from it, ``parameter_breakdown`` sums it and
@@ -37,7 +39,6 @@ from .tensor_core import (
     conv2d_backward,
     conv_transpose2d,
     conv_transpose2d_backward,
-    prelu,
     prelu_backward,
 )
 
@@ -202,8 +203,8 @@ class DenoiseCache:
 
     Of the F-channel arrays it keeps only the 2D PReLU inputs and the tail
     input, (2D + 1) * F * H * W * 8 bytes: about 22 MiB for a 64x64 patch
-    at D=5, F=64. The backward pass recomputes each PReLU output from its
-    input, which costs no convolution."""
+    at D=5, F=64. The backward pass applies each PReLU again inside its
+    layer's ``conv2d_backward``, which costs no convolution."""
 
     x: np.ndarray
     sigma: float
@@ -276,8 +277,8 @@ def residual(x: np.ndarray, params: ResDNetParams):
         p = h
         for blk in params.blocks[2 * pair : 2 * pair + 2]:
             block_pre.append(h)
-            h = conv2d(prelu(h, blk.kappa), blk.bank)
-        h = p + h
+            h = conv2d(h, blk.bank, slopes=blk.kappa)
+        h += p
     return conv_transpose2d(h, params.tail.bank), block_pre, h
 
 
@@ -293,10 +294,11 @@ def residual_backward(g_r: np.ndarray, cache: DenoiseCache, params: ResDNetParam
     for pair in reversed(range(params.depth)):
         g_p = g_h  # shortcut branch
         for p, blk, pre in reversed(layers[2 * pair : 2 * pair + 2]):
-            a = prelu(pre, blk.kappa)  # recomputed, not cached
-            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(g_h, a, blk.bank)
+            g_a, grads[f"{p}.weights"], grads[f"{p}.bias"] = conv2d_backward(
+                g_h, pre, blk.bank, slopes=blk.kappa
+            )
             g_h, grads[f"{p}.kappa"] = prelu_backward(g_a, pre, blk.kappa)
-        g_h = g_h + g_p
+        g_h += g_p
     g_x, grads["head.weights"], grads["head.bias"] = conv2d_backward(
         g_h, cache.x, params.head.bank
     )

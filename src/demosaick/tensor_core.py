@@ -24,10 +24,16 @@ is one flat add over all channels onto C padded grids of length L, at
 i*Wp + j; the grids are then transposed back and their border folded
 onto the pixels it mirrors. Biases are added in place.
 
+``conv2d`` and ``conv2d_backward`` take the slopes of a PReLU applied to
+their input (``slopes=``), so a network block, a PReLU and then a
+convolution, writes its activation straight into the padded buffer and
+no activation array is stored or copied.
+
 A large convolution splits its work into contiguous bands, one per CPU
 the process may run on: the calling thread runs the first band and a pool
 of worker threads the others, each filling its part of buffers the caller
-allocated. The patch copy splits over image rows. Every GEMM (the
+allocated. The patch copy and the PReLU written into the padded buffer
+split over image rows, and so does ``prelu_backward``. Every GEMM (the
 forward ``cols @ filters``, both weight gradients and col2im's) splits
 over the rows of its left matrix: pixels, or for the weight gradients and
 col2im the k*k*in filter-matrix rows, so no sum over pixels moves. col2im's
@@ -41,9 +47,9 @@ two or four BLAS threads, had the bits of one band, and so does every test
 and benchmark workload at any CPU count; another BLAS build or CPU may
 block its products differently. A call with less than ``_MIN_WORK``
 multiply-adds (or copied or added bytes) per band, a one-CPU process
-(``taskset -c 0``), the pad adjoint and the pointwise ops stay in one
-band, which is the plain numpy expression; the pool starts on the first
-split.
+(``taskset -c 0``), the pad adjoint, the bias adds, ``clip`` and its
+adjoint, and ``prelu`` called alone stay in one band, which is the plain
+numpy expression; the pool starts on the first split.
 """
 from __future__ import annotations
 
@@ -229,10 +235,12 @@ def _in_bands(fn, rows: int, n: int) -> None:
     """Run ``fn(lo, hi)`` over n contiguous bands [lo, hi) covering
     range(rows), of sizes that differ by at most one row. The caller runs
     the first band and waits for the rest. Its users are ``_im2col``'s
-    patch copy, ``_rows_matmul`` (every convolution GEMM) and ``_col2im``'s
-    adds. ``fn`` must only fill slices of buffers the caller allocated, and
-    call nothing that submits to the pool: a caller's own band never waits
-    on the pool, so callers on many threads cannot deadlock it."""
+    patch copy, ``_prelu_pad`` (the PReLU written into the padded buffer),
+    ``_rows_matmul`` (every convolution GEMM), ``_col2im``'s adds and
+    ``prelu_backward``. ``fn`` must write its results only into slices of
+    buffers the caller allocated, and call nothing that submits to the
+    pool: a caller's own band never waits on the pool, so callers on many
+    threads cannot deadlock it."""
     bounds = [rows * i // n for i in range(n + 1)]
     pool = _band_pool()
     futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -247,20 +255,66 @@ def _in_bands(fn, rows: int, n: int) -> None:
 # convolution: im2col + GEMM (Chellapilla, Puri & Simard, 2006)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, slopes: np.ndarray | None = None) -> np.ndarray:
     """(H, W, C) -> (H*W, k*k*C): row h*W + w is the k x k patch of the
-    reflexive-padded input centred on pixel (h, w), in (i, j, c) order."""
+    reflexive-padded input centred on pixel (h, w), in (i, j, c) order;
+    with ``slopes``, of ``prelu(x, slopes)``, which a call that splits
+    writes into the padded buffer in bands (``_prelu_pad``)."""
     H, W, C = x.shape
-    xp = np.ascontiguousarray(_pad_reflect(x, (k - 1) // 2))
-    s0, s1, s2 = xp.strides
-    patches = np.ndarray((H, W, k, k, C), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
-    n = _band_count(H, H * W * k * k * C * xp.itemsize)
+    pad = (k - 1) // 2
+    n = _band_count(H, H * W * k * k * C * x.itemsize)
     if n == 1:
-        return patches.reshape(H * W, k * k * C)
-    cols = np.empty((H * W, k * k * C), xp.dtype)
+        xp = np.ascontiguousarray(_pad_reflect(x if slopes is None else prelu(x, slopes), pad))
+        return _patches(xp, k).reshape(H * W, k * k * C)
+    if slopes is None:
+        xp = np.ascontiguousarray(_pad_reflect(x, pad))
+        cols = np.empty((H * W, k * k * C), xp.dtype)
+    else:
+        # The patch matrix before the padded buffer: a paper-scale cascade,
+        # which keeps each block's output, then reuses one free block for
+        # every patch matrix (infer-paper mpix_s x1.13 over the parent on
+        # 2 CPUs, against x1.035 in the other order, with 3% more RSS).
+        cols = np.empty((H * W, k * k * C), np.result_type(x, 0.0))
+        scratch = cols.reshape(-1)[: x.size].reshape(x.shape)
+        xp = _prelu_pad(x, _check_slopes(x, slopes), pad, n, scratch)
+    patches = _patches(xp, k)
     out = cols.reshape(patches.shape)
     _in_bands(lambda lo, hi: np.copyto(out[lo:hi], patches[lo:hi]), H, n)
     return cols
+
+
+def _prelu_pad(x: np.ndarray, slopes: np.ndarray, pad: int, n: int,
+               scratch: np.ndarray) -> np.ndarray:
+    """``_pad_reflect(prelu(x, slopes), pad)`` in n bands of rows: each band
+    writes max(x, 0), then adds slopes * min(x, 0), formed in its rows of
+    ``scratch`` (an array of x's shape), into the centre rows, then copies
+    their border columns; then the border rows are copied. That is
+    prelu's sum in the other order, which IEEE addition gives the same
+    bits."""
+    H, W, C = x.shape
+    xp = np.empty((H + 2 * pad, W + 2 * pad, C), scratch.dtype)
+
+    def band(lo, hi):
+        rows, t = xp[pad + lo : pad + hi], scratch[lo:hi]
+        np.minimum(x[lo:hi], 0.0, out=t)
+        t *= slopes
+        np.maximum(x[lo:hi], 0.0, out=rows[:, pad : pad + W])
+        rows[:, pad : pad + W] += t
+        for j, c in _border_rows(W, pad):
+            rows[:, j] = rows[:, pad + c]
+
+    _in_bands(band, H, n)
+    for i, r in _border_rows(H, pad):
+        xp[i] = xp[pad + r]
+    return xp
+
+
+def _patches(xp: np.ndarray, k: int) -> np.ndarray:
+    """(H, W, k, k, C) view of the k x k patches of a C-contiguous padded
+    (H + k - 1, W + k - 1, C) array."""
+    s0, s1, s2 = xp.strides
+    H, W = xp.shape[0] - k + 1, xp.shape[1] - k + 1
+    return np.ndarray((H, W, k, k, xp.shape[2]), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
 
 
 def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -304,6 +358,14 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     yw[:, :W] = y
     cols = np.empty((k * k * C, L), dtype=np.result_type(y, w))
     _rows_matmul(_filter_matrix(w), yw.reshape(n, -1).T, out=cols[:, :n])
+    # A large call frees the widened input here and the GEMM buffer before
+    # the fold, which lowers a 64-channel call's peak by a fifth. A small
+    # one keeps both to its end: freeing them early made malloc hand the
+    # heap top back and fault it in again on later calls, 3-5x the minor
+    # faults of a desk-scale training item.
+    large = cols.nbytes >= _MIN_WORK
+    if large:
+        del yw
     cols[:, n:] = 0.0
     cols = cols.reshape(k * k, C * L)
     gp = np.zeros(C * L + reach, dtype=cols.dtype)
@@ -321,6 +383,8 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
         add(0, gp.size)
     else:
         _in_bands(add, gp.size, bands)
+    if large:
+        del cols
     gp = gp[: C * L].reshape(C, L)[:, : n + 2 * pad * Wp]
     gp = gp.reshape(C, H + 2 * pad, Wp).transpose(1, 2, 0)
     return _pad_reflect_adjoint(gp, H, W, pad)
@@ -337,8 +401,9 @@ def _filter_matrix_adjoint(m: np.ndarray, shape: tuple) -> np.ndarray:
     return m.reshape(k, k, cin, out).transpose(3, 2, 0, 1)
 
 
-def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
-    """Same-size correlation with implicit reflexive padding, plus bias."""
+def conv2d(x: np.ndarray, filters: FilterBank, *, slopes: np.ndarray | None = None) -> np.ndarray:
+    """Same-size correlation with implicit reflexive padding, plus bias;
+    with ``slopes``, the correlation of ``prelu(x, slopes)``."""
     check_image(x)
     w = filters.weights
     if x.shape[2] != filters.in_channels:
@@ -346,19 +411,22 @@ def conv2d(x: np.ndarray, filters: FilterBank) -> np.ndarray:
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
     H, W, _ = x.shape
-    y = _rows_matmul(_im2col(x, w.shape[2]), _filter_matrix(w)).reshape(H, W, -1)
+    y = _rows_matmul(_im2col(x, w.shape[2], slopes), _filter_matrix(w)).reshape(H, W, -1)
     y += filters.bias
     return y
 
 
-def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank):
-    """Gradients of conv2d w.r.t. (input, weights, bias)."""
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: FilterBank, *,
+                    slopes: np.ndarray | None = None):
+    """Gradients of conv2d w.r.t. (input, weights, bias). With ``slopes``,
+    ``x`` is the input of the PReLU that conv2d applied and the first
+    gradient is w.r.t. the PReLU's output."""
     w = filters.weights
     k = w.shape[2]
     if grad_out.shape != (x.shape[0], x.shape[1], w.shape[0]):
         raise ShapeError("grad_out shape does not match conv2d output")
     g = grad_out.reshape(-1, w.shape[0])
-    gw = _filter_matrix_adjoint(_rows_matmul(_im2col(x, k).T, g), w.shape)
+    gw = _filter_matrix_adjoint(_rows_matmul(_im2col(x, k, slopes).T, g), w.shape)
     gb = grad_out.sum(axis=(0, 1))
     return _col2im(grad_out, w), gw, gb
 
@@ -402,33 +470,56 @@ def conv_transpose2d_backward(grad_out: np.ndarray, x: np.ndarray, filters: Filt
 # pointwise ops
 
 
-def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """max(0, x) + slopes[c] * min(0, x), per channel."""
-    check_image(x)
+def _check_slopes(x: np.ndarray, slopes) -> np.ndarray:
     slopes = np.asarray(slopes)
     if slopes.shape != (x.shape[2],):
         raise ShapeError(
             f"slopes length {slopes.shape} does not match {x.shape[2]} channels"
         )
+    return slopes
+
+
+def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """max(0, x) + slopes[c] * min(0, x), per channel."""
+    check_image(x)
+    slopes = _check_slopes(x, slopes)
     out = np.minimum(x, 0.0)
     out *= slopes
     out += np.maximum(x, 0.0)
     return out
 
 
+def _prelu_grads(grad_out, x, slopes, gx=None, product=None):
+    """(input gradient, min(x, 0) * grad_out) of prelu, into the given
+    arrays if any."""
+    pos = x > 0
+    factor = ~pos * slopes
+    factor += pos
+    gx = np.multiply(grad_out, factor, out=gx)
+    return gx, np.multiply(np.minimum(x, 0.0), grad_out, out=product)
+
+
 def prelu_backward(grad_out: np.ndarray, x: np.ndarray, slopes: np.ndarray):
     """Gradients of prelu w.r.t. (input, slopes).
 
     The input gradient is ``grad_out`` times a per-pixel factor, 1 where
-    x > 0 and slopes[c] elsewhere (a -0.0 slope gives a +0.0 factor)."""
+    x > 0 and slopes[c] elsewhere (a -0.0 slope gives a +0.0 factor). A
+    large call of C-contiguous arrays splits over image rows, each band
+    writing its rows of the input gradient and of the product whose sum
+    over pixels is the slope gradient; that sum is one call on the whole
+    product, as in one band. Its work is the bytes read and written."""
     if grad_out.shape != x.shape:
         raise ShapeError("grad_out shape does not match prelu input")
-    pos = x > 0
-    factor = ~pos * slopes
-    factor += pos
-    gx = grad_out * factor
-    gk = (np.minimum(x, 0.0) * grad_out).sum(axis=(0, 1))
-    return gx, gk
+    contiguous = x.flags.c_contiguous and grad_out.flags.c_contiguous
+    n = _band_count(x.shape[0], 4 * x.nbytes) if contiguous else 1
+    if n == 1:
+        gx, product = _prelu_grads(grad_out, x, slopes)
+    else:
+        gx = np.empty(x.shape, np.result_type(grad_out, slopes))
+        product = np.empty(x.shape, np.result_type(x, 0.0, grad_out))
+        _in_bands(lambda lo, hi: _prelu_grads(grad_out[lo:hi], x[lo:hi], slopes,
+                                              gx[lo:hi], product[lo:hi]), x.shape[0], n)
+    return gx, product.sum(axis=(0, 1))
 
 
 def clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:

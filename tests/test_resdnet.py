@@ -24,7 +24,7 @@ from demosaick.resdnet import (
     residual,
     residual_backward,
 )
-from demosaick.tensor_core import FilterBank
+from demosaick.tensor_core import FilterBank, _im2col, prelu
 
 
 def rng(seed=0):
@@ -292,38 +292,36 @@ class TestBackward:
         assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
 
     def test_recomputed_activations_equal_forward_ones(self, monkeypatch):
-        """The backward pass recomputes each PReLU output from the cached
-        input; each must equal, bit for bit, the one the forward pass fed
-        to that block's conv2d."""
+        """Each block's conv2d applies its PReLU, and the backward pass
+        applies it again inside that block's conv2d_backward: each must get
+        the very input array and slopes the forward conv2d got, and the
+        patches it correlates must equal, bit for bit, those of ``prelu`` of
+        that input. The head gets no slopes."""
         p = init_resdnet(2, seed=11, num_filters=6)
         p.blocks = [replace(blk, kappa=rng(12 + i).uniform(-0.5, 0.5, size=6))
                     for i, blk in enumerate(p.blocks)]
         x = rng(16).uniform(0, 255, size=(9, 7, 3))
-        acts, fed, grad_fed = [], [], []
+        fed, grad_fed = [], []
 
         def recording(store, fn):
-            def wrapper(*args):
-                out = fn(*args)
-                store.append((args, out))
-                return out
+            def wrapper(*args, **kwargs):
+                store.append((args, kwargs.get("slopes")))
+                return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(resdnet, "prelu", recording(acts, resdnet.prelu))
         monkeypatch.setattr(resdnet, "conv2d", recording(fed, resdnet.conv2d))
         monkeypatch.setattr(resdnet, "conv2d_backward",
                             recording(grad_fed, resdnet.conv2d_backward))
         _, cache = resdnet_forward(x, 5.0, p)
-        forward_acts = [out for _, out in acts]
-        block_inputs = [args[0] for args, _ in fed[1:]]  # fed[0] is the head
-        assert all(a is b for a, b in zip(block_inputs, forward_acts, strict=True))
-        acts.clear()
         resdnet_backward(rng(17).normal(size=x.shape), cache, p)
-        recomputed = [out for _, out in acts]
-        block_inputs = [args[1] for args, _ in grad_fed[:-1]]  # grad_fed[-1] is the head
-        assert all(a is b for a, b in zip(block_inputs, recomputed, strict=True))
-        assert len(recomputed) == len(forward_acts) == 2 * p.depth
-        for want, got in zip(forward_acts, reversed(recomputed)):
-            assert np.array_equal(want.view(np.int64), got.view(np.int64))
+        assert fed[0][1] is None and grad_fed[-1][1] is None  # the head
+        forward = [(args[0], slopes) for args, slopes in fed[1:]]
+        backward = [(args[1], slopes) for args, slopes in reversed(grad_fed[:-1])]
+        assert len(forward) == len(backward) == 2 * p.depth
+        for blk, (h, s), (pre, s_back) in zip(p.blocks, forward, backward):
+            assert pre is h and s is s_back is blk.kappa
+            want = _im2col(prelu(h, s), 3)
+            assert np.array_equal(_im2col(pre, 3, s_back).view(np.int64), want.view(np.int64))
 
     def test_gradients_are_bitwise_at_any_cpu_count(self, cpus):
         """Every convolution of a paper-width block (F=64, 48x48) splits at 2

@@ -466,36 +466,52 @@ PAPER_FILTERS = [(64, 3, 5), (64, 64, 3)]
 BAND_SIZES = [(64, 64), (48, 96), (37, 53), (2, 2048)]
 
 
+def _slopes(c):
+    """c PReLU slopes with negative, -0.0 and +0.0 entries."""
+    s = np.linspace(-0.75, 0.5, c)
+    s[::3] = -0.0
+    s[1::4] = 0.0
+    return s
+
+
 def _kernel_calls(x, y, weights):
-    """{name: call returning its outputs} of conv2d and its backward, and of
-    the transposed convolution and its backward, on x of in and y of out
-    channels."""
+    """{name: call returning its outputs} of conv2d and its backward, each
+    also through a PReLU (``slopes=``), of the transposed convolution and
+    its backward, and of prelu_backward, on x of in and y of out channels."""
     fwd = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[0]))
     tr = FilterBank(weights, np.linspace(-1.0, 1.0, weights.shape[1]))
+    s_in, s_out = _slopes(x.shape[2]), _slopes(y.shape[2])
+    pre = np.flip(y, 0) - 0.25  # a PReLU input of y's shape
+    pre.flat[::7] = -0.0
     return {
         "conv2d": lambda: [conv2d(x, fwd)],
+        "conv2d_prelu": lambda: [conv2d(x, fwd, slopes=s_in)],
         "conv2d_backward": lambda: list(conv2d_backward(y, x, fwd)),
+        "conv2d_backward_prelu": lambda: list(conv2d_backward(y, x, fwd, slopes=s_in)),
         "conv_transpose2d": lambda: [conv_transpose2d(y, tr)],
         "conv_transpose2d_backward": lambda: list(conv_transpose2d_backward(x, y, tr)),
+        "prelu_backward": lambda: list(prelu_backward(y, pre, s_out)),
     }
 
 
 def _banded_kernels(x, y, weights):
-    """Every output of the four convolution kernels."""
+    """Every output of the calls of ``_kernel_calls``."""
     return [a for call in _kernel_calls(x, y, weights).values() for a in call()]
 
 
-# The one call that stays one band: the 3-channel tail's conv_transpose2d
-# on 37x53, whose col2im GEMM has 37 * 57 columns (not whole 8-column
-# blocks) and whose adds hold 1.4 MB.
-ONE_BAND = {(37, 53, 3, "conv_transpose2d")}
+# The calls that stay one band on 37x53: the 3-channel tail's
+# conv_transpose2d, whose col2im GEMM has 37 * 57 columns (not whole
+# 8-column blocks) and whose adds hold 1.4 MB, and prelu_backward on 64
+# channels, which reads and writes 4.0 MB.
+ONE_BAND = {(37, 53, 3, "conv_transpose2d"), (37, 53, 3, "prelu_backward"),
+            (37, 53, 64, "prelu_backward")}
 
 
 @pytest.mark.parametrize("h,w", BAND_SIZES)
 @pytest.mark.parametrize("cout,cin,k", PAPER_FILTERS)
 def test_row_bands_are_bitwise_one_band(cpus, h, w, cout, cin, k):
-    """Every output of the four kernels at 2, 3 and 4 CPUs has the bits of
-    the one-CPU run, and each kernel did split."""
+    """Every output of each call at 2, 3 and 4 CPUs has the bits of the
+    one-CPU run, and each call did split."""
     gen = rng(h * w + cin)
     x, y = gen.normal(size=(h, w, cin)), gen.normal(size=(h, w, cout))
     calls = _kernel_calls(x, y, gen.normal(size=(cout, cin, k, k)))
@@ -593,23 +609,24 @@ def test_small_layer_on_a_large_patch_is_bitwise_one_band(cpus):
     """The 3x3 block layers of a three-filter model trained on 322-px
     patches: each weight gradient is a 27-row product over 103,684 pixels.
     Split in bands of 13 and 14 rows, both had other bits with two BLAS
-    threads; both backward passes now have the bits of the one-CPU run."""
+    threads; both backward passes, and every other call of
+    ``_kernel_calls``, now have the bits of the one-CPU run."""
     gen = rng(23)
     x, y = gen.normal(size=(322, 322, 3)), gen.normal(size=(322, 322, 3))
-    fb = FilterBank(gen.normal(size=(3, 3, 3, 3)), np.zeros(3))
+    calls = _kernel_calls(x, y, gen.normal(size=(3, 3, 3, 3)))
     cpus(1)
-    want = [*conv2d_backward(y, x, fb), *conv_transpose2d_backward(x, y, fb)]
+    want = {name: call() for name, call in calls.items()}
     cpus(2)
-    got = [*conv2d_backward(y, x, fb), *conv_transpose2d_backward(x, y, fb)]
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert np.array_equal(_bits(a), _bits(b)), i
+    for name, call in calls.items():
+        for i, (a, b) in enumerate(zip(call(), want[name])):
+            assert np.array_equal(_bits(a), _bits(b)), (name, i)
 
 
 @pytest.mark.parametrize("f", [12, 100])
 def test_odd_filter_count_is_bitwise_one_band(cpus, f):
     """A 3x3 F -> F layer whose filter count is not a multiple of 8: its
-    F-column GEMMs stay one band, and every output of the four kernels at
-    2, 3 and 4 CPUs has the bits of the one-CPU run."""
+    F-column GEMMs stay one band, and every output of each call at 2, 3
+    and 4 CPUs has the bits of the one-CPU run."""
     gen = rng(24 + f)
     x, y = gen.normal(size=(64, 64, f)), gen.normal(size=(64, 64, f))
     calls = _kernel_calls(x, y, gen.normal(size=(f, f, 3, 3)))
@@ -620,6 +637,50 @@ def test_odd_filter_count_is_bitwise_one_band(cpus, f):
         for name, call in calls.items():
             for i, (a, b) in enumerate(zip(call(), want[name])):
                 assert np.array_equal(_bits(a), _bits(b)), (n, name, i)
+
+
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("k,h,w", [(1, 128, 128), (3, 64, 96)])
+def test_fused_prelu_is_bitwise_the_unfused_composition(cpus, monkeypatch, k, h, w, view):
+    """conv2d and conv2d_backward with ``slopes`` have the bits of the same
+    call on ``prelu(x, slopes)``, and prelu_backward those of its one-CPU
+    run, at 1 to 4 CPUs: slopes and inputs with zeros of both signs, a 1x1
+    kernel (no pad) and a non-contiguous input view. From 2 CPUs the
+    activation is written in bands and ``prelu`` is never called."""
+    gen = rng(25 + k)
+    base = gen.normal(size=(w, h, 64) if view else (h, w, 64))
+    base.flat[::11] = 0.0
+    base.flat[5::13] = -0.0
+    x = base.transpose(1, 0, 2) if view else base
+    assert x.flags.c_contiguous != view
+    g = gen.normal(size=(h, w, 64))
+    s = _slopes(64)
+    fb = FilterBank(gen.normal(size=(64, 64, k, k)), gen.normal(size=64))
+    cpus(1)
+    act = prelu(x, s)
+    want = [conv2d(act, fb), *conv2d_backward(g, act, fb), *prelu_backward(g, x, s)]
+    for n in (1, 2, 3, 4):
+        pool = cpus(n)
+        if n > 1:
+            monkeypatch.setattr(tensor_core, "prelu", lambda *_: pytest.fail("prelu called"))
+        before = pool.tasks
+        got = [conv2d(x, fb, slopes=s), *conv2d_backward(g, x, fb, slopes=s),
+               *prelu_backward(g, x, s)]
+        assert (pool.tasks > before) == (n > 1), n
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape, (n, i)
+            assert np.array_equal(_bits(a), _bits(b)), (n, i)
+
+
+def test_conv2d_rejects_slopes_of_the_wrong_length(cpus):
+    """The activation written in bands checks its slopes as ``prelu``
+    does."""
+    x = rng(26).normal(size=(64, 64, 64))
+    fb = FilterBank(np.zeros((64, 64, 3, 3)), np.zeros(64))
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(ShapeError):
+            conv2d(x, fb, slopes=np.ones(63))
 
 
 def _traced_peak(fn):
@@ -650,6 +711,7 @@ def test_row_bands_allocate_nothing_more(cpus):
     lowered = max(padded + patches, patches + filters + out)
     calls = {
         "conv2d": (lambda: conv2d(x, fb), lowered),
+        "conv2d_prelu": (lambda: conv2d(x, fb, slopes=_slopes(64)), lowered),
         "conv_transpose2d_backward": (lambda: conv_transpose2d_backward(x, y, fb), lowered),
         "conv2d_backward": (lambda: conv2d_backward(y, x, fb), patches + col2im + grid),
         "conv_transpose2d": (lambda: conv_transpose2d(y, fb), patches + col2im + grid),
@@ -665,6 +727,38 @@ def test_row_bands_allocate_nothing_more(cpus):
             assert peaks[n, name] <= bound + slack, (n, name)
     for name in calls:
         assert peaks[2, name] <= peaks[1, name] + slack, name
+
+
+def test_col2im_frees_its_buffers_before_it_needs_no_more(cpus):
+    """col2im drops the widened input once its GEMM has run, and its (k*k*C,
+    L) buffer once the adds have run. So a 64 -> 64 conv_transpose2d at
+    64x64 peaks during that GEMM, at the buffer, the widened input and the
+    filter matrix (22.5 MB; 28.8 MB while both lived through the fold),
+    above the buffer and grid of the adds; conv2d_backward holds its weight
+    gradient too. At 1 and 2 CPUs, up to a few Python objects."""
+    gen = rng(27)
+    x, y = gen.normal(size=(64, 64, 64)), gen.normal(size=(64, 64, 64))
+    fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
+    reach = 2 * 67  # the largest patch offset on the 66-px padded width
+    L = 64 * 66 + reach
+    col2im, grid = 576 * L * 8, (64 * L + reach) * 8
+    widened, filters = 64 * 66 * 64 * 8, 576 * 64 * 8
+    peak = max(col2im + widened + filters, col2im + grid)
+    slack = 16 * 1024
+    gw = filters  # the weight gradient has the filter matrix's size
+    calls = {
+        "conv_transpose2d": (lambda: conv_transpose2d(y, fb), peak),
+        "conv2d_backward": (lambda: conv2d_backward(y, x, fb), peak + gw),
+        "conv2d_backward_prelu": (lambda: conv2d_backward(y, x, fb, slopes=_slopes(64)),
+                                  peak + gw),
+    }
+    for call, _ in calls.values():  # start the pool and the interned numpy state
+        cpus(2)
+        call()
+    for n in (1, 2):
+        cpus(n)
+        for name, (call, bound) in calls.items():
+            assert _traced_peak(call) <= bound + slack, (n, name)
 
 
 def test_desk_scale_call_starts_no_thread(cpus, monkeypatch):
