@@ -16,7 +16,9 @@ The artifacts are:
   sigma 5) run: both lists of log rows and both saved model files;
 - one 64x64 X-Trans image at paper scale (D=5, F=64, K=10): the
   ``demosaick`` and ``demosaick_forward`` estimates, the
-  ``demosaick_backward`` gradients and one ``resdnet_backward``.
+  ``demosaick_backward`` gradients and one ``resdnet_backward``;
+- the paper-scale ``demosaick`` estimate of one 37x53 Bayer image, whose
+  odd size puts band and tile edges where no square image does.
 
 It calls only public functions of the package, so the same file runs
 against older source trees. It checks in no expected hashes: BLAS builds
@@ -118,10 +120,12 @@ def paper() -> list:
     est_fwd, traj = demosaick_forward(obs, cas)
     grad = np.sign(est_fwd - clean) / clean.size
     g_x, g_params, g_sigma = resdnet_backward(grad, traj.caches[-1], cas.denoiser)
+    odd = mosaic(make_dataset(1, seed=9, height=37, width=53)[0][1], make_pattern("bayer_rggb"))
     return [("paper.demosaick", _arrays({"estimate": est})),
             ("paper.demosaick_forward", _arrays({"estimate": est_fwd})),
             ("paper.demosaick_backward", _arrays(demosaick_backward(grad, traj, cas))),
-            ("paper.resdnet_backward", _arrays({**g_params, "input": g_x, "sigma": g_sigma}))]
+            ("paper.resdnet_backward", _arrays({**g_params, "input": g_x, "sigma": g_sigma})),
+            ("paper.demosaick_37x53", _arrays({"estimate": demosaick(odd, cas)}))]
 
 
 def main() -> None:

@@ -113,6 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's overflow and invalid-value warnings, off while a command runs:
+# _check_finite and psnr turn the values that raise them into exit 3.
+# numpy's error state is per thread, so each thread that computes sets it.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {what}")
@@ -258,24 +264,25 @@ def cmd_eval(args) -> int:
         params = _load_cascade(args)
 
     def run_one(item):
-        base, truth_path, input_path = item
-        truth = read_image(truth_path)
-        obs = _read_observation(input_path, args.pattern)
-        start = time.perf_counter()
-        if params is None:
-            est = bilinear_demosaick(obs)
-        else:
-            est = demosaick(obs, params)
-        elapsed = time.perf_counter() - start
-        _check_finite(est, f"estimate for {base}")
-        lin = psnr(truth, est)
-        srgb = psnr(linrgb_to_srgb(truth), linrgb_to_srgb(est))
-        return (base, lin, srgb, elapsed)
+        with np.errstate(**_QUIET):
+            base, truth_path, input_path = item
+            truth = read_image(truth_path)
+            obs = _read_observation(input_path, args.pattern)
+            start = time.perf_counter()
+            if params is None:
+                est = bilinear_demosaick(obs)
+            else:
+                est = demosaick(obs, params)
+            elapsed = time.perf_counter() - start
+            _check_finite(est, f"estimate for {base}")
+            lin = psnr(truth, est)
+            srgb = psnr(linrgb_to_srgb(truth), linrgb_to_srgb(est))
+            return (base, lin, srgb, elapsed)
 
     # Large convolutions also split into bands on tensor_core's shared pool:
-    # the patch copy, every GEMM and col2im's adds. Each caller runs its own
-    # first band and no band submits work, so these threads cannot deadlock
-    # that pool.
+    # conv2d's patch tiles, every other GEMM and col2im's adds. Each caller
+    # runs its own first band and no band submits work, so these threads
+    # cannot deadlock that pool.
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(run_one, pairs))
     rows.sort(key=lambda r: r[0])
@@ -333,7 +340,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        with np.errstate(**_QUIET):
+            return args.func(args)
     except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -14,15 +14,20 @@ border column and row; the adjoint copies the centre and adds each border
 row, then each border column, onto the one it copies, first to last.
 
 All four convolution kernels (conv2d, conv_transpose2d and their backward
-passes) are one lowering: ``_im2col`` turns the padded image into a matrix
-of k x k patches, one row per pixel, so each kernel is a matrix product
-with the (k*k*in, out) filter matrix. ``_col2im`` is the exact adjoint of
-that product: one GEMM gives, for every patch offset (i, j) and channel,
-a row holding the H image rows at the padded width Wp, zero-extended to
-the length L of one padded grid plus the largest offset. So each offset
-is one flat add over all channels onto C padded grids of length L, at
-i*Wp + j; the grids are then transposed back and their border folded
-onto the pixels it mirrors. Biases are added in place.
+passes) are one lowering: the k x k patches of the padded image, one row
+per pixel, times the (k*k*in, out) filter matrix. conv2d never builds that
+(H*W, k*k*in) patch matrix: ``_patch_matmul`` copies it in tiles of whole
+image rows, about ``_TILE_BYTES`` each, and multiplies each tile into its
+rows of the output while it is still in cache. The weight gradients, whose
+sums run over every pixel, and the transposed backward, which multiplies
+the same patches twice, take the whole matrix from ``_im2col``.
+``_col2im`` is the exact adjoint of the product: one GEMM gives, for every
+patch offset (i, j) and channel, a row holding the H image rows at the
+padded width Wp, zero-extended to the length L of one padded grid plus the
+largest offset. So each offset is one flat add over all channels onto C
+padded grids of length L, at i*Wp + j; the grids are then transposed back
+and their border folded onto the pixels it mirrors. Biases are added in
+place.
 
 ``conv2d`` and ``conv2d_backward`` take the slopes of a PReLU applied to
 their input (``slopes=``), so a network block, a PReLU and then a
@@ -32,24 +37,26 @@ no activation array is stored or copied.
 A large convolution splits its work into contiguous bands, one per CPU
 the process may run on: the calling thread runs the first band and a pool
 of worker threads the others, each filling its part of buffers the caller
-allocated. The patch copy and the PReLU written into the padded buffer
-split over image rows, and so does ``prelu_backward``. Every GEMM (the
-forward ``cols @ filters``, both weight gradients and col2im's) splits
-over the rows of its left matrix: pixels, or for the weight gradients and
-col2im the k*k*in filter-matrix rows, so no sum over pixels moves. col2im's
-adds split over contiguous ranges of the flat grid, each taking every
-offset's add in order. BLAS sums each row of a large product in the same
-order whichever rows it is given only on some shapes, so a product splits
-only when its right factor's columns fill whole 8-column blocks
-(``_COL_BLOCK``) and each band holds ``_MIN_ROWS`` rows. Under those two
-rules every split scanned on OpenBLAS 0.3.31's Haswell kernels, with one,
-two or four BLAS threads, had the bits of one band, and so does every test
-and benchmark workload at any CPU count; another BLAS build or CPU may
-block its products differently. A call with less than ``_MIN_WORK``
-multiply-adds (or copied or added bytes) per band, a one-CPU process
-(``taskset -c 0``), the pad adjoint, the bias adds, ``clip`` and its
-adjoint, and ``prelu`` called alone stay in one band, which is the plain
-numpy expression; the pool starts on the first split.
+allocated; conv2d's bands of image rows also copy their tiles into one
+buffer each. The PReLU written into the padded buffer and ``_im2col``'s
+patch copy split over image rows, and so does ``prelu_backward``. Every
+other GEMM (both weight gradients, the transposed backward's and col2im's)
+splits over the rows of its left matrix: pixels, or for the weight
+gradients and col2im the k*k*in filter-matrix rows, so no sum over pixels
+moves. col2im's adds split over contiguous ranges of the flat grid, each
+taking every offset's add in order. BLAS sums each row of a large product
+in the same order whichever rows it is given only on some shapes, so a
+product splits, and conv2d tiles, only when its right factor's columns
+fill whole 8-column blocks (``_COL_BLOCK``); each band of a split product
+holds ``_MIN_ROWS`` rows, and each conv2d tile ``_MIN_WORK // 2``
+multiply-adds. Under those rules every split scanned on OpenBLAS 0.3.31's
+Haswell kernels, with one, two or four BLAS threads, had the bits of one
+product, and so does every test and benchmark workload at any CPU count;
+another BLAS build or CPU may block its products differently. A call with
+less than ``_MIN_WORK`` multiply-adds (or copied or added bytes) per band,
+a one-CPU process (``taskset -c 0``), the pad adjoint, the bias adds,
+``clip`` and its adjoint, and ``prelu`` called alone stay in one band,
+which the calling thread runs; the pool starts on the first split.
 """
 from __future__ import annotations
 
@@ -187,6 +194,14 @@ _COL_BLOCK = 8
 # products of the 5x5 3-channel layers in two.
 _MIN_ROWS = 32
 
+# Bytes of patches conv2d copies and multiplies at once, in whole image
+# rows: half of a 2 MiB per-core L2, so the GEMM reads the tile from cache.
+# On a 2-vCPU Xeon a 64x80 64-channel layer took 7.4 ms (one BLAS thread,
+# two bands; median of 60 interleaved calls) with 256 KiB or 1 MiB tiles,
+# 9.0 ms with 4 MiB tiles, 9.4 ms with one tile per band and 10.2 ms
+# through the whole patch matrix.
+_TILE_BYTES = 1 << 20
+
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -224,9 +239,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _band_count(rows: int, work: int) -> int:
-    """min(CPUs, rows, work // _MIN_WORK), at least 1. A call of one band
-    runs the plain numpy expression: desk-scale training ran about 10%
-    slower through the preallocated banded form."""
+    """min(CPUs, rows, work // _MIN_WORK), at least 1."""
     n = min(rows, work // _MIN_WORK)
     return min(n, _cpu_count()) if n > 1 else 1
 
@@ -234,13 +247,17 @@ def _band_count(rows: int, work: int) -> int:
 def _in_bands(fn, rows: int, n: int) -> None:
     """Run ``fn(lo, hi)`` over n contiguous bands [lo, hi) covering
     range(rows), of sizes that differ by at most one row. The caller runs
-    the first band and waits for the rest. Its users are ``_im2col``'s
-    patch copy, ``_prelu_pad`` (the PReLU written into the padded buffer),
-    ``_rows_matmul`` (every convolution GEMM), ``_col2im``'s adds and
-    ``prelu_backward``. ``fn`` must write its results only into slices of
-    buffers the caller allocated, and call nothing that submits to the
-    pool: a caller's own band never waits on the pool, so callers on many
-    threads cannot deadlock it."""
+    the first band and waits for the rest; one band runs inline and never
+    touches the pool. Its users are ``_patch_matmul`` (conv2d's tiled
+    product), ``_im2col``'s patch copy, ``_prelu_pad`` (the PReLU written
+    into the padded buffer), ``_rows_matmul`` (every other convolution
+    GEMM), ``_col2im``'s adds and ``prelu_backward``. ``fn`` must write its
+    results only into slices of buffers the caller allocated, and call
+    nothing that submits to the pool: a caller's own band never waits on
+    the pool, so callers on many threads cannot deadlock it."""
+    if n == 1:
+        fn(0, rows)
+        return
     bounds = [rows * i // n for i in range(n + 1)]
     pool = _band_pool()
     futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -266,32 +283,26 @@ def _im2col(x: np.ndarray, k: int, slopes: np.ndarray | None = None) -> np.ndarr
     if n == 1:
         xp = np.ascontiguousarray(_pad_reflect(x if slopes is None else prelu(x, slopes), pad))
         return _patches(xp, k).reshape(H * W, k * k * C)
-    if slopes is None:
-        xp = np.ascontiguousarray(_pad_reflect(x, pad))
-        cols = np.empty((H * W, k * k * C), xp.dtype)
-    else:
-        # The patch matrix before the padded buffer: a paper-scale cascade,
-        # which keeps each block's output, then reuses one free block for
-        # every patch matrix (infer-paper mpix_s x1.13 over the parent on
-        # 2 CPUs, against x1.035 in the other order, with 3% more RSS).
-        cols = np.empty((H * W, k * k * C), np.result_type(x, 0.0))
-        scratch = cols.reshape(-1)[: x.size].reshape(x.shape)
-        xp = _prelu_pad(x, _check_slopes(x, slopes), pad, n, scratch)
+    xp = _prelu_pad(x, slopes, pad, n)
+    cols = np.empty((H * W, k * k * C), xp.dtype)
     patches = _patches(xp, k)
     out = cols.reshape(patches.shape)
     _in_bands(lambda lo, hi: np.copyto(out[lo:hi], patches[lo:hi]), H, n)
     return cols
 
 
-def _prelu_pad(x: np.ndarray, slopes: np.ndarray, pad: int, n: int,
-               scratch: np.ndarray) -> np.ndarray:
-    """``_pad_reflect(prelu(x, slopes), pad)`` in n bands of rows: each band
-    writes max(x, 0), then adds slopes * min(x, 0), formed in its rows of
-    ``scratch`` (an array of x's shape), into the centre rows, then copies
-    their border columns; then the border rows are copied. That is
-    prelu's sum in the other order, which IEEE addition gives the same
-    bits."""
+def _prelu_pad(x: np.ndarray, slopes: np.ndarray | None, pad: int, n: int) -> np.ndarray:
+    """The C-contiguous ``_pad_reflect(x, pad)``; with ``slopes``, of
+    ``prelu(x, slopes)``, in n bands of rows: each band writes max(x, 0),
+    then adds slopes * min(x, 0), formed in its rows of a scratch array of
+    x's shape, into the centre rows, then copies their border columns;
+    then the border rows are copied. That is prelu's sum in the other
+    order, which IEEE addition gives the same bits."""
+    if slopes is None:
+        return np.ascontiguousarray(_pad_reflect(x, pad))
+    slopes = _check_slopes(x, slopes)
     H, W, C = x.shape
+    scratch = np.empty(x.shape, np.result_type(x, 0.0))
     xp = np.empty((H + 2 * pad, W + 2 * pad, C), scratch.dtype)
 
     def band(lo, hi):
@@ -317,17 +328,60 @@ def _patches(xp: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray((H, W, k, k, xp.shape[2]), xp.dtype, xp, 0, (s0, s1, s0, s1, s2))
 
 
+def _whole_blocks(n_cols: int) -> bool:
+    """Whether a product with this many columns may split over its rows:
+    they fill whole ``_COL_BLOCK`` blocks, or number 2 to 7. numpy runs a
+    one-column product as a matrix-vector product, whose sums follow the
+    row offset."""
+    return n_cols % _COL_BLOCK == 0 or 1 < n_cols < _COL_BLOCK
+
+
+def _patch_matmul(x: np.ndarray, k: int, slopes: np.ndarray | None,
+                  filter_matrix: np.ndarray) -> np.ndarray:
+    """``_im2col(x, k, slopes) @ filter_matrix`` as (H*W, out), without the
+    patch matrix. Each band of image rows copies tiles of whole image rows
+    of patches into a buffer of its own and multiplies each tile into its
+    rows of the result while the tile is still in cache (the partial
+    im2col of Anderson et al., arXiv:1709.03395). A tile holds about
+    ``_TILE_BYTES`` of patches, at least one image row and at least
+    ``_MIN_WORK // 2`` multiply-adds (below that OpenBLAS's small-matrix
+    path sums in another order); a band's tiles differ by at most one row.
+    A product whose columns do not fill whole blocks is one tile of every
+    row, as one band."""
+    H, W, C = x.shape
+    K, N = filter_matrix.shape
+    pad = (k - 1) // 2
+    row = W * K  # patch-matrix entries per image row
+    if _whole_blocks(N) and row * N > 0:
+        n = _band_count(H, H * row * N)
+        tile = max(_TILE_BYTES // (row * x.itemsize), -(-(_MIN_WORK // 2) // (row * N)))
+    else:
+        n, tile = 1, max(H, 1)
+    xp = _prelu_pad(x, slopes, pad, n)
+    patches = _patches(xp, k)
+    out = np.empty((H * W, N), np.result_type(xp, filter_matrix))
+
+    def band(lo, hi):
+        t = max((hi - lo) // tile, 1)
+        cols = np.empty((-(-(hi - lo) // t) * W, K), xp.dtype)
+        for i in range(t):
+            a, b = lo + (hi - lo) * i // t, lo + (hi - lo) * (i + 1) // t
+            part = cols[: (b - a) * W]
+            np.copyto(part.reshape(b - a, W, k, k, C), patches[a:b])
+            np.matmul(part, filter_matrix, out=out[a * W : b * W])
+
+    _in_bands(band, H, n)
+    return out
+
+
 def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, into ``out`` if given, in bands of ``a``'s rows, each band
     writing its rows of the result. Every output element is one row of
-    ``a`` against one column of ``b``, so no sum moves. numpy runs a
-    product with one column as a matrix-vector product, whose sums follow
-    the row offset, so it stays one band. A ``b`` of more than
-    ``_COL_BLOCK`` columns splits only when they fill whole blocks, and no
-    band holds fewer than ``_MIN_ROWS`` rows."""
+    ``a`` against one column of ``b``, so no sum moves. It splits only
+    when ``b``'s columns fill whole blocks (``_whole_blocks``), and no band
+    holds fewer than ``_MIN_ROWS`` rows."""
     (M, K), N = a.shape, b.shape[1]
-    whole = N % _COL_BLOCK == 0 or 1 < N < _COL_BLOCK
-    n = _band_count(M // _MIN_ROWS, M * K * N) if whole else 1
+    n = _band_count(M // _MIN_ROWS, M * K * N) if _whole_blocks(N) else 1
     if n == 1:
         return a @ b if out is None else np.matmul(a, b, out=out)
     if out is None:
@@ -378,11 +432,7 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
                 if a < b:
                     gp[a:b] += cols[i * k + j, a - off : b - off]
 
-    bands = _band_count(gp.size, cols.nbytes)
-    if bands == 1:
-        add(0, gp.size)
-    else:
-        _in_bands(add, gp.size, bands)
+    _in_bands(add, gp.size, _band_count(gp.size, cols.nbytes))
     if large:
         del cols
     gp = gp[: C * L].reshape(C, L)[:, : n + 2 * pad * Wp]
@@ -411,7 +461,7 @@ def conv2d(x: np.ndarray, filters: FilterBank, *, slopes: np.ndarray | None = No
             f"input has {x.shape[2]} channels, filters expect {filters.in_channels}"
         )
     H, W, _ = x.shape
-    y = _rows_matmul(_im2col(x, w.shape[2], slopes), _filter_matrix(w)).reshape(H, W, -1)
+    y = _patch_matmul(x, w.shape[2], slopes, _filter_matrix(w)).reshape(H, W, -1)
     y += filters.bias
     return y
 

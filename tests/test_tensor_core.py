@@ -639,6 +639,59 @@ def test_odd_filter_count_is_bitwise_one_band(cpus, f):
                 assert np.array_equal(_bits(a), _bits(b)), (n, name, i)
 
 
+def _tile_rows(monkeypatch):
+    """The rows of the left matrix of every ``np.matmul`` call made."""
+    rows, matmul = [], np.matmul
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return rows
+
+
+@pytest.mark.parametrize("h,w", [(37, 53), (2, 2048), (1, 4096)])
+@pytest.mark.parametrize("cout,cin,k,fused", [(64, 64, 3, False), (64, 64, 3, True),
+                                              (64, 3, 5, False), (12, 12, 3, False),
+                                              (100, 100, 3, False)])
+def test_tile_edges_are_bitwise_one_product(cpus, monkeypatch, h, w, cout, cin, k, fused):
+    """conv2d with a tile budget of 1 and 3 image rows of patches, at 1 to
+    4 CPUs, has the bits of one product of the whole patch matrix. Tiles
+    are whole image rows covering the image, each of at least _MIN_WORK //
+    2 multiply-adds and fewer than twice the rows of the budget or that
+    floor; a 2048- or 4096-px row alone exceeds the budget. The head's 5x5
+    3 -> 64 layer still splits. 12 and 100 filters, which do not fill
+    whole 8-column blocks, stay one product in one band."""
+    gen = rng(28 + h + cin)
+    x = gen.normal(size=(h, w, cin))
+    fb = FilterBank(gen.normal(size=(cout, cin, k, k)), gen.normal(size=cout))
+    s = _slopes(cin) if fused else None
+    want = (_im2col(x, k, s) @ tensor_core._filter_matrix(fb.weights)).reshape(h, w, cout)
+    want += fb.bias
+    row_work = w * k * k * cin * cout
+    least = -(-(tensor_core._MIN_WORK // 2) // row_work)
+    whole = cout % 8 == 0
+    tiles = _tile_rows(monkeypatch)
+    for budget in (1, 3):
+        monkeypatch.setattr(tensor_core, "_TILE_BYTES", budget * w * k * k * cin * 8)
+        for n in (1, 2, 3, 4):
+            pool = cpus(n)
+            before = pool.tasks
+            tiles.clear()
+            got = conv2d(x, fb, slopes=s)
+            assert np.array_equal(_bits(got), _bits(want)), (budget, n)
+            assert (pool.tasks > before) == (whole and n > 1 and h > 1), (budget, n)
+            if not whole:
+                assert tiles == [h * w], (budget, n)
+                continue
+            assert sum(tiles) == h * w and all(t % w == 0 for t in tiles), (budget, n)
+            assert all(t // w * row_work >= tensor_core._MIN_WORK // 2 for t in tiles)
+            assert max(tiles) // w < 2 * max(budget, least), (budget, n)
+            split = pool.tasks > before or h >= 2 * max(budget, least)
+            assert (len(tiles) > 1) == split, (budget, n)
+
+
 @pytest.mark.parametrize("view", [False, True])
 @pytest.mark.parametrize("k,h,w", [(1, 128, 128), (3, 64, 96)])
 def test_fused_prelu_is_bitwise_the_unfused_composition(cpus, monkeypatch, k, h, w, view):
@@ -694,28 +747,42 @@ def _traced_peak(fn):
 
 def test_row_bands_allocate_nothing_more(cpus):
     """Workers fill slices of the buffers the caller allocated, in the
-    one-band order. conv2d and the transposed backward hold at most the
-    padded input and patch matrix, then the patch matrix, filter matrix
-    and output; conv2d_backward and conv_transpose2d at most the patch
-    matrix, col2im's (k*k*C, L) GEMM buffer and its grid. The traced peak
-    is that sum, and at 2 CPUs the peak of the one-CPU run, up to a few
-    Python objects: far less than one band of a buffer."""
+    one-band order, and conv2d's bands a tile buffer each. conv2d holds at
+    most the filter matrix, padded input, output and one tile of patches
+    per band (with ``slopes``, before the output and tiles, the PReLU's
+    scratch of the input's size), never the (H*W, k*k*C) patch matrix. The
+    transposed backward holds at most the padded input and patch matrix,
+    then the patch matrix, filter matrix and output; conv2d_backward and
+    conv_transpose2d at most the patch matrix, col2im's (k*k*C, L) GEMM
+    buffer and its grid. The traced peak is that sum, and at 2 CPUs the
+    peak of the one-CPU run plus conv2d's second tile, up to a few Python
+    objects: far less than one band of a buffer."""
     gen = rng(17)
     x, y = gen.normal(size=(64, 64, 64)), gen.normal(size=(64, 64, 64))
     fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
     padded, patches, filters, out = 66 * 66 * 64 * 8, 4096 * 576 * 8, 576 * 64 * 8, 4096 * 64 * 8
+    # 1 MiB holds 3 image rows of patches; a 64- or 32-row band takes tiles
+    # of 3 or 4 rows
+    tile, scratch = 4 * 64 * 576 * 8, 64 * 64 * 64 * 8
     reach = 2 * 67  # the largest patch offset on the 66-px padded width
     L = 64 * 66 + reach
     col2im, grid = 576 * L * 8, (64 * L + reach) * 8
     slack = 16 * 1024
     lowered = max(padded + patches, patches + filters + out)
+
+    def tiled(n):
+        return filters + padded + max(out + n * tile, scratch)
+
     calls = {
-        "conv2d": (lambda: conv2d(x, fb), lowered),
-        "conv2d_prelu": (lambda: conv2d(x, fb, slopes=_slopes(64)), lowered),
-        "conv_transpose2d_backward": (lambda: conv_transpose2d_backward(x, y, fb), lowered),
-        "conv2d_backward": (lambda: conv2d_backward(y, x, fb), patches + col2im + grid),
-        "conv_transpose2d": (lambda: conv_transpose2d(y, fb), patches + col2im + grid),
+        "conv2d": (lambda: conv2d(x, fb), tiled),
+        "conv2d_prelu": (lambda: conv2d(x, fb, slopes=_slopes(64)), tiled),
+        "conv_transpose2d_backward": (lambda: conv_transpose2d_backward(x, y, fb),
+                                      lambda n: lowered),
+        "conv2d_backward": (lambda: conv2d_backward(y, x, fb),
+                            lambda n: patches + col2im + grid),
+        "conv_transpose2d": (lambda: conv_transpose2d(y, fb), lambda n: patches + col2im + grid),
     }
+    assert tiled(2) < patches
     for call, _ in calls.values():  # start the pool and the interned numpy state
         cpus(2)
         call()
@@ -724,9 +791,10 @@ def test_row_bands_allocate_nothing_more(cpus):
         cpus(n)
         for name, (call, bound) in calls.items():
             peaks[n, name] = _traced_peak(call)
-            assert peaks[n, name] <= bound + slack, (n, name)
+            assert peaks[n, name] <= bound(n) + slack, (n, name)
     for name in calls:
-        assert peaks[2, name] <= peaks[1, name] + slack, name
+        more = tile if name in ("conv2d", "conv2d_prelu") else 0
+        assert peaks[2, name] <= peaks[1, name] + more + slack, name
 
 
 def test_col2im_frees_its_buffers_before_it_needs_no_more(cpus):
