@@ -18,7 +18,12 @@ The artifacts are:
   ``demosaick`` and ``demosaick_forward`` estimates, the
   ``demosaick_backward`` gradients and one ``resdnet_backward``;
 - the paper-scale ``demosaick`` estimate of one 37x53 Bayer image, whose
-  odd size puts band and tile edges where no square image does.
+  odd size puts band and tile edges where no square image does;
+- every output of ``conv2d`` (plain and through a PReLU),
+  ``conv2d_backward`` through a PReLU, ``conv_transpose2d``, its backward
+  and ``prelu_backward`` at desk scale (the 3 -> 8 5x5 and 8 -> 8 3x3
+  layers) on a 5x7 input and on its transposed view, far below the size
+  at which a kernel splits over the CPUs.
 
 It calls only public functions of the package, so the same file runs
 against older source trees. It checks in no expected hashes: BLAS builds
@@ -49,6 +54,14 @@ from demosaick.cli import main as cli_main  # noqa: E402
 from demosaick.datagen import make_dataset  # noqa: E402
 from demosaick.modelfile import save_model  # noqa: E402
 from demosaick.resdnet import init_resdnet, resdnet_backward  # noqa: E402
+from demosaick.tensor_core import (  # noqa: E402
+    FilterBank,
+    conv2d,
+    conv2d_backward,
+    conv_transpose2d,
+    conv_transpose2d_backward,
+    prelu_backward,
+)
 from demosaick.training import TrainConfig, pretrain_denoiser, train_joint  # noqa: E402
 
 
@@ -128,8 +141,33 @@ def paper() -> list:
             ("paper.demosaick_37x53", _arrays({"estimate": demosaick(odd, cas)}))]
 
 
+def desk() -> list:
+    gen = np.random.Generator(np.random.Philox(key=7))
+    outputs = {}
+    for cin, k in ((3, 5), (8, 3)):
+        w = gen.normal(size=(8, cin, k, k))
+        fwd, tr = FilterBank(w, gen.normal(size=8)), FilterBank(w, gen.normal(size=cin))
+        slopes = gen.uniform(-1.0, 1.0, size=cin)
+        slopes[::2] = 0.0
+        x, y = gen.normal(size=(5, 7, cin)), gen.normal(size=(5, 7, 8))
+        x.flat[::4] = -0.0
+        x.flat[1::6] = 0.0
+        for layout, a, b in (("5x7", x, y), ("7x5_view", x.transpose(1, 0, 2),
+                                             y.transpose(1, 0, 2))):
+            g = gen.normal(size=a.shape)  # C order, unlike a view
+            calls = {"conv2d": [conv2d(a, fwd)], "conv2d_prelu": [conv2d(a, fwd, slopes=slopes)],
+                     "conv2d_backward_prelu": conv2d_backward(b, a, fwd, slopes=slopes),
+                     "conv_transpose2d": [conv_transpose2d(b, tr)],
+                     "conv_transpose2d_backward": conv_transpose2d_backward(a, b, tr),
+                     "prelu_backward": prelu_backward(g, a, slopes)}
+            for name, results in calls.items():
+                for i, r in enumerate(results):
+                    outputs[f"{cin}to8_k{k}.{layout}.{name}.{i}"] = r
+    return [("desk.kernels_5x7", _arrays(outputs))]
+
+
 def main() -> None:
-    for part in (gradcheck, params, init, train, paper):
+    for part in (gradcheck, params, init, train, paper, desk):
         for name, digest in part():
             print(f"{name} {digest}", flush=True)
 

@@ -52,11 +52,12 @@ holds ``_MIN_ROWS`` rows, and each conv2d tile ``_MIN_WORK // 2``
 multiply-adds. Under those rules every split scanned on OpenBLAS 0.3.31's
 Haswell kernels, with one, two or four BLAS threads, had the bits of one
 product, and so does every test and benchmark workload at any CPU count;
-another BLAS build or CPU may block its products differently. A call with
-less than ``_MIN_WORK`` multiply-adds (or copied or added bytes) per band,
-a one-CPU process (``taskset -c 0``), the pad adjoint, the bias adds,
-``clip`` and its adjoint, and ``prelu`` called alone stay in one band,
-which the calling thread runs; the pool starts on the first split.
+another BLAS build or CPU may block its products differently. Each
+kernel has one form at every size: a call with less than ``_MIN_WORK``
+multiply-adds (or copied or added bytes) per band, or in a one-CPU process
+(``taskset -c 0``), runs it as one band on the calling thread, and the
+pool starts on the first split. The pad adjoint, the bias adds, ``clip``
+and its adjoint, and ``prelu`` called alone always run as one band.
 """
 from __future__ import annotations
 
@@ -121,8 +122,8 @@ def _border_rows(n: int, pad: int) -> tuple:
     numpy's ``reflect`` mode in closed form: the padded rows repeat the
     centre with period 2(n - 1), so a pad wider than the axis reflects
     again, and a 1-px axis (period 1) replicates. An empty axis has
-    nothing to mirror and raises ``DimensionError``."""
-    if n < 1:
+    nothing to mirror: padding it raises ``DimensionError``."""
+    if n < 1 and pad:
         raise DimensionError(f"cannot reflect-pad an empty axis by {pad}")
     p = max(2 * (n - 1), 1)
     rows = []
@@ -275,15 +276,12 @@ def _in_bands(fn, rows: int, n: int) -> None:
 def _im2col(x: np.ndarray, k: int, slopes: np.ndarray | None = None) -> np.ndarray:
     """(H, W, C) -> (H*W, k*k*C): row h*W + w is the k x k patch of the
     reflexive-padded input centred on pixel (h, w), in (i, j, c) order;
-    with ``slopes``, of ``prelu(x, slopes)``, which a call that splits
-    writes into the padded buffer in bands (``_prelu_pad``)."""
+    with ``slopes``, of ``prelu(x, slopes)``, written into the padded
+    buffer (``_prelu_pad``). The pad and the patch copy run in bands of
+    image rows."""
     H, W, C = x.shape
-    pad = (k - 1) // 2
     n = _band_count(H, H * W * k * k * C * x.itemsize)
-    if n == 1:
-        xp = np.ascontiguousarray(_pad_reflect(x if slopes is None else prelu(x, slopes), pad))
-        return _patches(xp, k).reshape(H * W, k * k * C)
-    xp = _prelu_pad(x, slopes, pad, n)
+    xp = _prelu_pad(x, slopes, (k - 1) // 2, n)
     cols = np.empty((H * W, k * k * C), xp.dtype)
     patches = _patches(xp, k)
     out = cols.reshape(patches.shape)
@@ -296,8 +294,8 @@ def _prelu_pad(x: np.ndarray, slopes: np.ndarray | None, pad: int, n: int) -> np
     ``prelu(x, slopes)``, in n bands of rows: each band writes max(x, 0),
     then adds slopes * min(x, 0), formed in its rows of a scratch array of
     x's shape, into the centre rows, then copies their border columns;
-    then the border rows are copied. That is prelu's sum in the other
-    order, which IEEE addition gives the same bits."""
+    then the border rows are copied. ``prelu`` is this with no pad, in
+    one band."""
     if slopes is None:
         return np.ascontiguousarray(_pad_reflect(x, pad))
     slopes = _check_slopes(x, slopes)
@@ -382,8 +380,6 @@ def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     holds fewer than ``_MIN_ROWS`` rows."""
     (M, K), N = a.shape, b.shape[1]
     n = _band_count(M // _MIN_ROWS, M * K * N) if _whole_blocks(N) else 1
-    if n == 1:
-        return a @ b if out is None else np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((M, N), dtype=np.result_type(a, b))
     _in_bands(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), M, n)
@@ -414,9 +410,11 @@ def _col2im(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     _rows_matmul(_filter_matrix(w), yw.reshape(n, -1).T, out=cols[:, :n])
     # A large call frees the widened input here and the GEMM buffer before
     # the fold, which lowers a 64-channel call's peak by a fifth. A small
-    # one keeps both to its end: freeing them early made malloc hand the
+    # one keeps both to its end: freeing them early makes malloc hand the
     # heap top back and fault it in again on later calls, 3-5x the minor
-    # faults of a desk-scale training item.
+    # faults of a desk-scale training item. Freed early at every size,
+    # train-desk read 5% fewer Mpx/s and a 12% longer set-up for 0.4 MiB
+    # less peak RSS (medians of 6 alternating pairs on 2 shared vCPUs).
     large = cols.nbytes >= _MIN_WORK
     if large:
         del yw
@@ -530,45 +528,37 @@ def _check_slopes(x: np.ndarray, slopes) -> np.ndarray:
 
 
 def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """max(0, x) + slopes[c] * min(0, x), per channel."""
-    check_image(x)
-    slopes = _check_slopes(x, slopes)
-    out = np.minimum(x, 0.0)
-    out *= slopes
-    out += np.maximum(x, 0.0)
-    return out
-
-
-def _prelu_grads(grad_out, x, slopes, gx=None, product=None):
-    """(input gradient, min(x, 0) * grad_out) of prelu, into the given
-    arrays if any."""
-    pos = x > 0
-    factor = ~pos * slopes
-    factor += pos
-    gx = np.multiply(grad_out, factor, out=gx)
-    return gx, np.multiply(np.minimum(x, 0.0), grad_out, out=product)
+    """max(0, x) + slopes[c] * min(0, x), per channel (``_prelu_pad``)."""
+    return _prelu_pad(x, _check_slopes(check_image(x), slopes), 0, 1)
 
 
 def prelu_backward(grad_out: np.ndarray, x: np.ndarray, slopes: np.ndarray):
     """Gradients of prelu w.r.t. (input, slopes).
 
     The input gradient is ``grad_out`` times a per-pixel factor, 1 where
-    x > 0 and slopes[c] elsewhere (a -0.0 slope gives a +0.0 factor). A
-    large call of C-contiguous arrays splits over image rows, each band
-    writing its rows of the input gradient and of the product whose sum
-    over pixels is the slope gradient; that sum is one call on the whole
-    product, as in one band. Its work is the bytes read and written."""
+    x > 0 and slopes[c] elsewhere (a -0.0 slope gives a +0.0 factor). Bands
+    of image rows write their rows of the input gradient and of the
+    product whose sum over pixels is the slope gradient; that sum is one
+    call on the whole product. Both arrays take the layout numpy gives a
+    ufunc of ``x`` and ``grad_out`` (C order unless both share another),
+    which sets the order of that sum. Its work is the bytes read and
+    written."""
     if grad_out.shape != x.shape:
         raise ShapeError("grad_out shape does not match prelu input")
-    contiguous = x.flags.c_contiguous and grad_out.flags.c_contiguous
-    n = _band_count(x.shape[0], 4 * x.nbytes) if contiguous else 1
-    if n == 1:
-        gx, product = _prelu_grads(grad_out, x, slopes)
-    else:
-        gx = np.empty(x.shape, np.result_type(grad_out, slopes))
-        product = np.empty(x.shape, np.result_type(x, 0.0, grad_out))
-        _in_bands(lambda lo, hi: _prelu_grads(grad_out[lo:hi], x[lo:hi], slopes,
-                                              gx[lo:hi], product[lo:hi]), x.shape[0], n)
+    dtypes = (None, None, np.result_type(grad_out, slopes), np.result_type(x, 0.0, grad_out))
+    gx, product = np.nditer((x, grad_out, None, None), ["zerosize_ok"],
+                            [["readonly"]] * 2 + [["writeonly", "allocate"]] * 2,
+                            op_dtypes=dtypes).operands[2:]
+
+    def band(lo, hi):
+        g, v = grad_out[lo:hi], x[lo:hi]
+        pos = v > 0
+        factor = ~pos * slopes
+        factor += pos
+        np.multiply(g, factor, out=gx[lo:hi])
+        np.multiply(np.minimum(v, 0.0), g, out=product[lo:hi])
+
+    _in_bands(band, x.shape[0], _band_count(x.shape[0], 4 * x.nbytes))
     return gx, product.sum(axis=(0, 1))
 
 

@@ -45,7 +45,7 @@ _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
                   "steps": 1, "depth": 1, "num_filters": 1, "lr_decay_every": 0,
                   "checkpoint_every": 0, "seed": 0, "weight_decay": 0, "sigma_lo": 0,
-                  "sigma_hi": 0, "train_sigma": 0}
+                  "train_sigma": 0}
 _MAX_SEED = 2 ** 128 - 2  # Philox keys are below 2**128, and validation uses seed + 1
 
 
@@ -94,6 +94,7 @@ class TrainConfig:
         for key, bad, need in (
             ("lr", cfg.lr <= 0, "positive"),
             ("sigma_min", cfg.sigma_min <= 0, "positive"),
+            ("sigma_hi", cfg.sigma_hi <= 0, "positive"),
             ("sigma_lo", cfg.sigma_lo > cfg.sigma_hi, f"at most sigma_hi = {cfg.sigma_hi!r}"),
             ("sigma_max", cfg.sigma_max < cfg.sigma_min, f"at least sigma_min = {cfg.sigma_min!r}"),
             ("seed", cfg.seed > _MAX_SEED, f"at most {_MAX_SEED}"),

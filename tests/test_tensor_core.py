@@ -128,7 +128,8 @@ def test_pad_adjoint_matches_index_map_fold():
 @pytest.mark.parametrize("h,w", [(0, 4), (4, 0), (0, 0)])
 def test_empty_axis_is_rejected(h, w):
     """An empty axis has nothing to mirror: both kernels raise, as np.pad
-    does, and a zero pad passes the image through, as np.pad does."""
+    does, and a zero pad passes the image through, as np.pad does; so
+    does the PReLU, which pads by zero."""
     x = np.zeros((h, w, 2))
     for pad in (1, 2, 8):
         gp = np.zeros((h + 2 * pad, w + 2 * pad, 2))
@@ -136,6 +137,7 @@ def test_empty_axis_is_rejected(h, w):
             with pytest.raises(DimensionError):
                 call()
     assert _pad_reflect(x, 0).shape == _pad_reflect_adjoint(x, h, w, 0).shape == (h, w, 2)
+    assert prelu(x, np.ones(2)).shape == prelu_backward(x, x, np.ones(2))[0].shape == (h, w, 2)
 
 
 @pytest.mark.parametrize("h,w,cin,cout,k", [(1, 1, 1, 2, 3), (7, 5, 2, 3, 1), (2, 3, 3, 4, 5),
@@ -400,7 +402,10 @@ def _ref_prelu(x, slopes):
 
 def _ref_prelu_backward(grad_out, x, slopes):
     gx = np.where(x > 0, grad_out, slopes * grad_out)
-    gk = (np.minimum(x, 0.0) * grad_out).sum(axis=(0, 1))
+    # np.multiply, not *: numpy computes a * of a large temporary in place
+    # (temporary elision), which would give the product x's layout where x
+    # and grad_out differ, and so sum it in another order
+    gk = np.multiply(np.minimum(x, 0.0), grad_out).sum(axis=(0, 1))
     return gx, gk
 
 
@@ -408,9 +413,16 @@ def _bits(a):
     return a.view(np.int64)
 
 
+def _transposed(a):
+    """``a``'s values with its first two axes swapped in memory."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize("h,w,c", [(1, 1, 1), (3, 5, 2), (8, 8, 8), (7, 4, 17),
                                    (32, 32, 3), (64, 64, 64)])
 def test_prelu_kernels_match_where_reference(h, w, c):
+    """Also with x, the gradient or both in the transposed layout: the slope
+    gradient sums the product in the order of numpy's result of the two."""
     gen = rng(h * 1000 + w * 10 + c)
     x = gen.normal(size=(h, w, c))
     x.flat[::3] = 0.0
@@ -419,12 +431,70 @@ def test_prelu_kernels_match_where_reference(h, w, c):
     grad.flat[::7] = -0.0
     slopes = gen.uniform(-1.0, 1.0, size=c)
     slopes[::2] = 0.0  # +0.0 only: a -0.0 slope gives a +0.0 input gradient
+    layouts = [(x, grad), (_transposed(x), grad), (x, _transposed(grad)),
+               (_transposed(x), _transposed(grad))]
     for s in (slopes, np.abs(slopes), 0.0 - np.abs(slopes)):
-        assert np.array_equal(_bits(prelu(x, s)), _bits(_ref_prelu(x, s)))
-        got, want = prelu_backward(grad, x, s), _ref_prelu_backward(grad, x, s)
-        for a, b in zip(got, want):
-            assert a.shape == b.shape
-            assert np.array_equal(_bits(a), _bits(b))
+        for xv, gv in layouts:
+            assert np.array_equal(_bits(prelu(xv, s)), _bits(_ref_prelu(xv, s)))
+            got, want = prelu_backward(gv, xv, s), _ref_prelu_backward(gv, xv, s)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(_bits(a), _bits(b))
+
+
+# The one-band forms of the banded kernels, which ran below the band size
+# until every size took the banded code, kept as the reference: the PReLU,
+# pad and patch matrix of _im2col, the plain product of _rows_matmul and the
+# unbanded PReLU gradients.
+
+
+def _one_band_prelu(x, slopes):
+    out = np.minimum(x, 0.0)
+    out *= slopes
+    out += np.maximum(x, 0.0)
+    return out
+
+
+def _one_band_im2col(x, k, slopes=None):
+    H, W, C = x.shape
+    act = x if slopes is None else _one_band_prelu(x, slopes)
+    xp = np.ascontiguousarray(_pad_reflect(act, (k - 1) // 2))
+    return tensor_core._patches(xp, k).reshape(H * W, k * k * C)
+
+
+def _one_band_prelu_backward(grad_out, x, slopes):
+    pos = x > 0
+    factor = ~pos * slopes
+    factor += pos
+    gx = np.multiply(grad_out, factor)
+    return gx, np.multiply(np.minimum(x, 0.0), grad_out).sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("h,w,c", [(1, 1, 1), (5, 7, 3), (7, 4, 17), (32, 32, 3), (32, 32, 8)])
+def test_kernels_have_the_bits_of_their_one_band_forms(cpus, h, w, c):
+    """At one CPU, on odd and desk sizes, an input and its transposed view:
+    the patch matrix of x and of its PReLU at k = 1, 3 and 5, the products
+    of the transposed backward (patches times filters) and of the weight
+    gradient (the transposed patches times the output gradient), prelu and
+    prelu_backward have the bits of the one-band expressions."""
+    cpus(1)
+    gen = rng(h * 1000 + w * 10 + c + 1)
+    x = gen.normal(size=(h, w, c))
+    x.flat[::3] = 0.0
+    x.flat[1::5] = -0.0
+    s = _slopes(c)
+    for v in (x, x.transpose(1, 0, 2)):
+        g = gen.normal(size=v.shape)
+        for k in (1, 3, 5):
+            for slopes in (None, s):
+                got, want = _im2col(v, k, slopes), _one_band_im2col(v, k, slopes)
+                assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), k
+        cols = _one_band_im2col(v, 3)
+        for a, b in ((cols, gen.normal(size=(9 * c, 8))), (cols.T, gen.normal(size=(h * w, 8)))):
+            assert np.array_equal(_bits(tensor_core._rows_matmul(a, b)), _bits(a @ b))
+        assert np.array_equal(_bits(prelu(v, s)), _bits(_one_band_prelu(v, s)))
+        for a, b in zip(prelu_backward(g, v, s), _one_band_prelu_backward(g, v, s)):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
 
 
 class TestClip:

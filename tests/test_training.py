@@ -148,11 +148,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=repr(key)):
             TrainConfig.from_dict({key: value})
 
-    @pytest.mark.parametrize("key", ["weight_decay", "sigma_lo", "sigma_hi", "train_sigma"])
+    @pytest.mark.parametrize("key", ["weight_decay", "sigma_lo", "train_sigma"])
     def test_negative_noise_level_or_decay_rejected(self, key):
         assert getattr(TrainConfig.from_dict({key: 0.0}), key) == 0.0
         with pytest.raises(ValueError, match=repr(key)):
             TrainConfig.from_dict({key: -1e-9})
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-9])
+    def test_pretraining_noise_level_must_be_positive(self, value):
+        """At sigma_hi = 0 every pretraining patch is noise-free: the
+        projection radius is 0, so every gradient is 0 and nothing trains."""
+        assert TrainConfig.from_dict({"sigma_hi": 5e-324}).sigma_hi == 5e-324
+        with pytest.raises(ValueError, match="'sigma_hi' must be positive"):
+            TrainConfig.from_dict({"sigma_hi": value})
 
 
 SMOKE = TrainConfig(
