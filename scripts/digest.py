@@ -23,7 +23,10 @@ The artifacts are:
   ``conv2d_backward`` through a PReLU, ``conv_transpose2d``, its backward
   and ``prelu_backward`` at desk scale (the 3 -> 8 5x5 and 8 -> 8 3x3
   layers) on a 5x7 input and on its transposed view, far below the size
-  at which a kernel splits over the CPUs.
+  at which a kernel splits over the CPUs;
+- the weight gradient of ``conv2d_backward`` for a 3 -> 3 3x3 layer on a
+  322x322 input: a 27 x 103,684 @ x 3 product, whose bits depend on
+  OpenBLAS's thread count wherever that count is not one.
 
 It calls only public functions of the package, so the same file runs
 against older source trees. It checks in no expected hashes: BLAS builds
@@ -163,7 +166,11 @@ def desk() -> list:
             for name, results in calls.items():
                 for i, r in enumerate(results):
                     outputs[f"{cin}to8_k{k}.{layout}.{name}.{i}"] = r
-    return [("desk.kernels_5x7", _arrays(outputs))]
+    w = gen.normal(size=(3, 3, 3, 3))
+    x, y = gen.normal(size=(322, 322, 3)), gen.normal(size=(322, 322, 3))
+    narrow_deep = conv2d_backward(y, x, FilterBank(w, np.zeros(3)))[1]
+    return [("desk.kernels_5x7", _arrays(outputs)),
+            ("desk.narrow_deep", _arrays({"weights": narrow_deep}))]
 
 
 def main() -> None:

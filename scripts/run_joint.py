@@ -19,7 +19,7 @@ from demosaick.modelfile import load_model, save_model
 from demosaick.training import TrainConfig, center_crop, split_dataset, train_joint
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--init", required=True, help="pretrained denoiser model file")
     ap.add_argument("--out", default="cascade.rdnc")
@@ -32,16 +32,19 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--images", type=int, default=60)
     ap.add_argument("--data-seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        cfg = TrainConfig.from_dict(dict(
+            patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
+            epochs=args.epochs, steps_per_epoch=args.steps_per_epoch, seed=args.seed,
+            steps=args.cascade_steps, sigma_max=15.0, sigma_min=1.0,
+            train_sigma=args.train_sigma, pattern=args.pattern, log_path=args.log,
+        ))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     images = make_dataset(args.images, seed=args.data_seed)
     denoiser = load_model(args.init)
-    cfg = TrainConfig(
-        patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
-        epochs=args.epochs, steps_per_epoch=args.steps_per_epoch, seed=args.seed,
-        steps=args.cascade_steps, sigma_max=15.0, sigma_min=1.0,
-        train_sigma=args.train_sigma, pattern=args.pattern, log_path=args.log,
-    )
     start = time.perf_counter()
     params, _ = train_joint(images, denoiser, cfg)
     print(f"trained in {time.perf_counter() - start:.1f}s")

@@ -17,7 +17,7 @@ from demosaick.resdnet import resdnet_forward
 from demosaick.training import TrainConfig, center_crop, pretrain_denoiser, split_dataset
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="denoiser.rdnc")
     ap.add_argument("--log", default="pretrain_log.csv")
@@ -28,15 +28,18 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--images", type=int, default=60)
     ap.add_argument("--data-seed", type=int, default=7)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        cfg = TrainConfig.from_dict(dict(
+            patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
+            epochs=args.epochs, steps_per_epoch=args.steps_per_epoch,
+            depth=args.depth, num_filters=args.filters, seed=args.seed,
+            log_path=args.log,
+        ))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     images = make_dataset(args.images, seed=args.data_seed)
-    cfg = TrainConfig(
-        patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
-        epochs=args.epochs, steps_per_epoch=args.steps_per_epoch,
-        depth=args.depth, num_filters=args.filters, seed=args.seed,
-        log_path=args.log,
-    )
     start = time.perf_counter()
     params, _ = pretrain_denoiser(images, cfg)
     print(f"trained in {time.perf_counter() - start:.1f}s")

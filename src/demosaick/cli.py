@@ -16,7 +16,7 @@ import numpy as np
 from . import gradcheck as gc
 from .cascade import CascadeParams, demosaick
 from .cfa import PATTERN_NAMES, MosaicObservation, bilinear_demosaick, make_pattern, mosaic
-from .config import parse_config_file
+from .config import check_fields, parse_config_file
 from .metrics import linrgb_to_srgb, psnr
 from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
@@ -125,24 +125,33 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-# NoiseSpec field: (flag, type); a ``noise.<field>`` config key overrides the flag
-_NOISE_FLAGS = {"kind": ("--noise-kind", str), "sigma": ("--sigma", float),
-                "a_shot": ("--a-shot", float), "b_read": ("--b-read", float),
-                "seed": ("--seed", int)}
+# NoiseSpec field: its flag; a ``noise.<field>`` config key overrides the flag
+_NOISE_FLAGS = {"kind": "--noise-kind", "sigma": "--sigma", "a_shot": "--a-shot",
+                "b_read": "--b-read", "seed": "--seed"}
+
+
+def _config(args) -> tuple:
+    """``--config`` as a TrainConfig and a dict of NoiseSpec fields from its
+    ``noise.*`` keys. Every command that reads the file checks all of it,
+    whether it trains, draws noise or neither."""
+    values = parse_config_file(args.config) if args.config else {}
+    noise = {key[len("noise."):]: values.pop(key) for key in list(values)
+             if key.startswith("noise.")}
+    check_fields(NoiseSpec, noise, "noise.{}".format)
+    return TrainConfig.from_dict(values), noise
 
 
 def _noise_spec(args) -> NoiseSpec:
     """The noise of ``mosaic``. A value NoiseSpec rejects is a data error
     naming its flag, or its config key when the config set it."""
-    values = parse_config_file(args.config) if args.config else {}
+    values = _config(args)[1]
     fields = {}
-    for field, (flag, kind) in _NOISE_FLAGS.items():
-        key = f"noise.{field}"
-        source = key if key in values else flag
+    for field, flag in _NOISE_FLAGS.items():
+        source = f"noise.{field}" if field in values else flag
         try:
-            fields[field] = kind(values.get(key, getattr(args, flag[2:].replace("-", "_"))))
+            fields[field] = values.get(field, getattr(args, flag[2:].replace("-", "_")))
             NoiseSpec(**{field: fields[field]})  # each field is checked on its own
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
     return NoiseSpec(**fields)
 
@@ -208,14 +217,8 @@ def cmd_denoise(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    values = {k: v for k, v in values.items() if not k.startswith("noise.")}
-    return TrainConfig.from_dict(values)
-
-
 def cmd_pretrain(args) -> int:
-    cfg = _train_config(args)
+    cfg = _config(args)[0]
     images = load_dataset(args.data)
     params, _ = pretrain_denoiser(images, cfg)
     out = args.out or "denoiser.rdnc"
@@ -225,7 +228,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _train_config(args)
+    cfg = _config(args)[0]
     images = load_dataset(args.data)
     if args.model:
         init = load_model(args.model)

@@ -44,27 +44,34 @@ other GEMM (both weight gradients, the transposed backward's and col2im's)
 splits over the rows of its left matrix: pixels, or for the weight
 gradients and col2im the k*k*in filter-matrix rows, so no sum over pixels
 moves. col2im's adds split over contiguous ranges of the flat grid, each
-taking every offset's add in order. BLAS sums each row of a large product
-in the same order whichever rows it is given only on some shapes, so a
-product splits, and conv2d tiles, only when its right factor's columns
-fill whole 8-column blocks (``_COL_BLOCK``); each band of a split product
-holds ``_MIN_ROWS`` rows, and each conv2d tile ``_MIN_WORK // 2``
-multiply-adds. Under those rules every split scanned on OpenBLAS 0.3.31's
-Haswell kernels, with one, two or four BLAS threads, had the bits of one
-product, and so does every test and benchmark workload at any CPU count;
-another BLAS build or CPU may block its products differently. Each
-kernel has one form at every size: a call with less than ``_MIN_WORK``
-multiply-adds (or copied or added bytes) per band, or in a one-CPU process
-(``taskset -c 0``), runs it as one band on the calling thread, and the
-pool starts on the first split. The pad adjoint, the bias adds, ``clip``
-and its adjoint, and ``prelu`` called alone always run as one band.
+taking every offset's add in order.
+
+Importing this module sets numpy's bundled OpenBLAS to one thread, and
+that setting holds for the whole process: the bands are the package's
+threads, and with several BLAS threads some whole products change bits
+with the thread count. A numpy built on another BLAS is left as it is. BLAS sums
+each row of a large product in the same order whichever rows it is given
+only on some shapes, so a product splits, and conv2d tiles, only when its
+right factor's columns fill whole 8-column blocks (``_COL_BLOCK``); each
+band of a split holds ``_MIN_WORK`` multiply-adds, and each conv2d tile
+``_MIN_WORK // 2``. Under those rules every split scanned on OpenBLAS
+0.3.31's x86-64 kernels with one BLAS thread had the bits of one product,
+and so does every test and benchmark workload at any CPU count; another
+BLAS build or CPU may block its products differently. Each kernel has one
+form at every size: a call with less than ``_MIN_WORK`` multiply-adds (or
+copied or added bytes) per band, or in a one-CPU process (``taskset -c
+0``), runs it as one band on the calling thread, and the pool starts on
+the first split. The pad adjoint, the bias adds, ``clip`` and its
+adjoint, and ``prelu`` called alone always run as one band.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -181,19 +188,9 @@ _MIN_WORK = 1 << 22
 # Haswell dgemm kernel; another build or CPU may block its products
 # differently. A product whose right factor's columns end in a part of an
 # 8-column block got other bits in a few rows when run in bands of rows
-# (75 x 64 @ 64 x 2109 split at row 37: rows 36 and 72), and with two BLAS
-# threads already at 63 columns. Products of whole blocks, or of less than
-# one, split at any row, were bitwise one band.
+# (75 x 64 @ 64 x 2109 split at row 37: rows 36 and 72). Products of whole
+# blocks, or of less than one, split at any row, were bitwise one band.
 _COL_BLOCK = 8
-
-# With several BLAS threads, a product of fewer than 32 columns and a deep
-# inner dimension (a weight gradient's H*W pixels, 4e4 or more) got other
-# bits in bands of 16 rows or fewer cut from more (24 to 64 rows, 2 to 24
-# columns, at two and four BLAS threads and two to four bands); bands of 17
-# rows or more, and every split with one BLAS thread, were bitwise. So a
-# band holds at least this many rows, which still splits the 75-row
-# products of the 5x5 3-channel layers in two.
-_MIN_ROWS = 32
 
 # Bytes of patches conv2d copies and multiplies at once, in whole image
 # rows: half of a 2 MiB per-core L2, so the GEMM reads the tile from cache.
@@ -205,6 +202,21 @@ _TILE_BYTES = 1 << 20
 
 _pool = None
 _pool_lock = threading.Lock()
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, for the whole process,
+    through the library's own setter (as threadpoolctl does). It runs on
+    import, so every product of the process runs on the one setting, and
+    no thread is inside a GEMM while it changes. A numpy without that
+    library is left as it is."""
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads(1)
+
+
+_one_blas_thread()
 
 
 def _cpu_count() -> int:
@@ -376,10 +388,10 @@ def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     """``a @ b``, into ``out`` if given, in bands of ``a``'s rows, each band
     writing its rows of the result. Every output element is one row of
     ``a`` against one column of ``b``, so no sum moves. It splits only
-    when ``b``'s columns fill whole blocks (``_whole_blocks``), and no band
-    holds fewer than ``_MIN_ROWS`` rows."""
+    when ``b``'s columns fill whole blocks (``_whole_blocks``), in as
+    many bands as ``_band_count`` gives every other kernel."""
     (M, K), N = a.shape, b.shape[1]
-    n = _band_count(M // _MIN_ROWS, M * K * N) if _whole_blocks(N) else 1
+    n = _band_count(M, M * K * N) if _whole_blocks(N) else 1
     if out is None:
         out = np.empty((M, N), dtype=np.result_type(a, b))
     _in_bands(lambda lo, hi: np.matmul(a[lo:hi], b, out=out[lo:hi]), M, n)

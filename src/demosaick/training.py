@@ -13,9 +13,8 @@ so runs are reproducible bit-for-bit under a fixed seed.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .cascade import (
     init_schedule,
 )
 from .cfa import PATTERN_NAMES, make_pattern, mosaic
+from .config import check_fields
 from .metrics import psnr
 from .modelfile import save_model
 from .resdnet import (
@@ -40,8 +40,6 @@ from .resdnet import (
 from .tensor_core import ShapeError
 
 
-# the values a config file may give each field type (annotations are strings)
-_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
                   "steps": 1, "depth": 1, "num_filters": 1, "lr_decay_every": 0,
                   "checkpoint_every": 0, "seed": 0, "weight_decay": 0, "sigma_lo": 0,
@@ -75,18 +73,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = set(values) - set(kinds)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_fields(cls, values)
         if "phase" in values:
             raise ValueError("config key 'phase' is not accepted: the subcommand "
                              "(pretrain or train) sets the phase")
         for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kinds[key]]):
-                raise ValueError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
-            if kinds[key] == "float" and not math.isfinite(value):
-                raise ValueError(f"config key {key!r} must be finite, got {value!r}")
             if key in _CONFIG_MINIMA and value < _CONFIG_MINIMA[key]:
                 raise ValueError(f"config key {key!r} must be at least "
                                  f"{_CONFIG_MINIMA[key]}, got {value!r}")
@@ -185,8 +176,9 @@ def load_dataset(directory) -> list:
 
 def split_dataset(items: list):
     """Fixed 80/20 train/validation split by sorted filename."""
-    if not items:
-        raise ValueError("empty dataset")
+    if len(items) < 2:
+        raise ValueError("a dataset needs at least two images, one to train on and one "
+                         f"to validate on; got {len(items)}")
     items = sorted(items, key=lambda kv: kv[0])
     n_val = max(1, len(items) // 5)
     return items[:-n_val], items[-n_val:]

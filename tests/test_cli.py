@@ -51,7 +51,7 @@ class TestConfigFile:
             "\n"
         )
         values = parse_config_file(path)
-        assert values == {"lr": 0.01, "epochs": 3, "pattern": "bayer_gbrg", "flag": True}
+        assert values == {"lr": 0.01, "epochs": 3, "pattern": "bayer_gbrg", "flag": "true"}
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -110,6 +110,23 @@ class TestMosaicCommand:
         assert main(["mosaic", str(path), "--config", str(cfg), "--sigma", "1",
                      "--out", str(tmp_path / "obs.npy")]) == 2
         assert line.split(" ")[0] + ":" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mosaic", "pretrain"])
+    @pytest.mark.parametrize("line", ["noise.sigma = true", "noise.seed = 1.9",
+                                      "noise.sigmaa = 5"])
+    def test_noise_key_of_wrong_type_or_name_is_data_error(self, clean_ppm, tmp_path,
+                                                           capsys, command, line):
+        """Every command that reads the config checks its noise keys: a
+        value of the wrong type is not cast, and an unknown key is not
+        ignored."""
+        path, _ = clean_ppm
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(f"{line}\n")
+        args = [str(path)] if command == "mosaic" else ["--data", str(tmp_path)]
+        out = tmp_path / "out"
+        assert main([command, *args, "--config", str(cfg), "--out", str(out)]) == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReconstructionCommands:

@@ -54,11 +54,13 @@ def value(key):
     """A valid value of ``key`` or one of its edge values: a boundary (each
     minimum and the value just below it; a float minimum of 0 may be
     exclusive, as for ``lr``, so the smallest positive float too), a
-    negative, a non-finite or a wrong-type value."""
+    negative, a non-finite, an integer beyond float range or a wrong-type
+    value."""
     kind = KINDS[key]
     low = 0 if key in ZERO_MINIMUM else 1
     edges = {"int": [st.sampled_from([low, low - 1]), st.integers(-(2 ** 130), -1)],
-             "float": [st.sampled_from([0.0, -TINY, TINY]), st.floats(-1e300, -TINY)],
+             "float": [st.sampled_from([0.0, -TINY, TINY, 10 ** 400, -10 ** 400]),
+                       st.floats(-1e300, -TINY)],
              "str": [st.just("")]}[kind]
     edges += [WRONG_TYPE[kind], st.sampled_from([math.nan, math.inf, -math.inf])]
     if key == "seed":

@@ -659,12 +659,13 @@ def test_one_filter_weight_gradient_stays_one_band(cpus):
             assert np.array_equal(_bits(a), _bits(b)), (n_out, i)
 
 
-@pytest.mark.parametrize("rows,splits", [(24, False), (63, False), (64, True), (75, True)])
-def test_deep_product_splits_in_bands_of_min_rows(cpus, rows, splits):
+@pytest.mark.parametrize("rows", [24, 63, 64, 75])
+def test_deep_narrow_product_splits_bitwise(cpus, rows):
     """A weight gradient's transposed patch matrix times a 16-column output
-    gradient of a 200x201 patch: with two BLAS threads, 24 rows split at
-    row 12 changed the bits of every row. Bands hold 32 rows or more, so
-    fewer than 64 rows stay one band; each has the bits of one band."""
+    gradient of a 200x201 patch splits at two CPUs whatever its row count:
+    24 rows split at row 12. With two BLAS threads that split changed the
+    bits of every row; with the one BLAS thread the package sets, each
+    split has the bits of one band."""
     gen = rng(22)
     a, b = gen.normal(size=(200 * 201, rows)).T, gen.normal(size=(200 * 201, 16))
     cpus(1)
@@ -672,7 +673,7 @@ def test_deep_product_splits_in_bands_of_min_rows(cpus, rows, splits):
     pool = cpus(2)
     got = tensor_core._rows_matmul(a, b)
     assert np.array_equal(_bits(got), _bits(want))
-    assert (pool.tasks > 0) == splits
+    assert pool.tasks > 0
 
 
 def test_small_layer_on_a_large_patch_is_bitwise_one_band(cpus):
@@ -948,3 +949,40 @@ def test_import_starts_no_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _run_with_blas_threads(code: str, threads: int) -> str:
+    """stdout of ``code`` in a new process with ``OPENBLAS_NUM_THREADS``
+    set to ``threads``."""
+    src = str(Path(tensor_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return out.stdout.strip()
+
+
+def test_import_sets_one_blas_thread():
+    """Importing the package sets numpy's bundled OpenBLAS to one thread,
+    whatever ``OPENBLAS_NUM_THREADS`` asked for."""
+    libs = list(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS")
+    code = ("import ctypes, demosaick\n"
+            f"lib = ctypes.CDLL({str(libs[0])!r})\n"
+            "print(lib.scipy_openblas_get_num_threads64_())")
+    assert _run_with_blas_threads(code, 2) == "1"
+
+
+def test_narrow_deep_weight_gradient_is_bitwise_at_any_blas_thread_count():
+    """The weight gradient of a 3 -> 3 3x3 layer on a 322-px input, a
+    27 x 103,684 @ x 3 product, had other bits with two BLAS threads than
+    with one; with the package's one BLAS thread the process's setting no
+    longer matters."""
+    code = ("import hashlib, numpy as np\n"
+            "from demosaick.tensor_core import FilterBank, conv2d_backward\n"
+            "gen = np.random.Generator(np.random.Philox(key=23))\n"
+            "x, y = gen.normal(size=(322, 322, 3)), gen.normal(size=(322, 322, 3))\n"
+            "fb = FilterBank(gen.normal(size=(3, 3, 3, 3)), np.zeros(3))\n"
+            "gw = conv2d_backward(y, x, fb)[1]\n"
+            "print(hashlib.sha256(np.ascontiguousarray(gw).tobytes()).hexdigest())")
+    assert _run_with_blas_threads(code, 2) == _run_with_blas_threads(code, 1)

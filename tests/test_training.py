@@ -3,7 +3,9 @@ import pytest
 
 from demosaick import resdnet
 from demosaick.cascade import init_schedule
+from demosaick.cli import main
 from demosaick.datagen import make_dataset
+from demosaick.pnm import write_image
 from demosaick.resdnet import ResDNetParams, init_resdnet
 from demosaick.tensor_core import ShapeError
 from demosaick.training import (
@@ -106,6 +108,15 @@ class TestDataPipeline:
     def test_split_empty(self):
         with pytest.raises(ValueError):
             split_dataset([])
+
+    def test_one_image_dataset_is_rejected(self, tmp_path, capsys):
+        """One image leaves nothing to train on once one is held out to
+        validate: the split says so, and so does ``pretrain --data``."""
+        with pytest.raises(ValueError, match="one to train on and one to validate on"):
+            split_dataset([("a", np.zeros((4, 4, 3)))])
+        write_image(tmp_path / "only.ppm", make_dataset(1, seed=1, height=16, width=16)[0][1])
+        assert main(["pretrain", "--data", str(tmp_path)]) == 2
+        assert "one to train on and one to validate on" in capsys.readouterr().err
 
     def test_sample_shapes_and_determinism(self):
         images = make_dataset(4, seed=1, height=40, width=40)
