@@ -125,6 +125,17 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _write_result(args, image: np.ndarray, default: str, what: str = "estimate",
+                  bitdepth: int = 8) -> int:
+    """Check ``image`` is finite, write it to ``--out`` (``default`` when not
+    given) and say so."""
+    _check_finite(image, what)
+    out = args.out or default
+    write_image(out, image, bitdepth=bitdepth)
+    print(f"wrote {out}")
+    return 0
+
+
 # NoiseSpec field: its flag; a ``noise.<field>`` config key overrides the flag
 _NOISE_FLAGS = {"kind": "--noise-kind", "sigma": "--sigma", "a_shot": "--a-shot",
                 "b_read": "--b-read", "seed": "--seed"}
@@ -171,11 +182,7 @@ def cmd_mosaic(args) -> int:
     spec = _noise_spec(args)
     noisy = add_noise(image, spec)
     obs = mosaic(noisy, make_pattern(args.pattern))
-    _check_finite(obs.data, "observation")
-    out = args.out or "mosaic.npy"
-    write_image(out, obs.data, bitdepth=16)
-    print(f"wrote {out}")
-    return 0
+    return _write_result(args, obs.data, "mosaic.npy", "observation", bitdepth=16)
 
 
 def _read_observation(path, pattern_name: str) -> MosaicObservation:
@@ -185,22 +192,12 @@ def _read_observation(path, pattern_name: str) -> MosaicObservation:
 def cmd_demosaick(args) -> int:
     obs = _read_observation(args.input, args.pattern)
     params = _load_cascade(args)
-    est = demosaick(obs, params)
-    _check_finite(est, "estimate")
-    out = args.out or "demosaicked.ppm"
-    write_image(out, est)
-    print(f"wrote {out}")
-    return 0
+    return _write_result(args, demosaick(obs, params), "demosaicked.ppm")
 
 
 def cmd_bilinear(args) -> int:
     obs = _read_observation(args.input, args.pattern)
-    est = bilinear_demosaick(obs)
-    _check_finite(est, "estimate")
-    out = args.out or "bilinear.ppm"
-    write_image(out, est)
-    print(f"wrote {out}")
-    return 0
+    return _write_result(args, bilinear_demosaick(obs), "bilinear.ppm")
 
 
 def cmd_denoise(args) -> int:
@@ -209,12 +206,7 @@ def cmd_denoise(args) -> int:
     image = read_image(args.input)
     params = load_model(args.model)
     den = params.denoiser if isinstance(params, CascadeParams) else params
-    est, _ = resdnet_forward(image, args.sigma, den)
-    _check_finite(est, "estimate")
-    out = args.out or "denoised.ppm"
-    write_image(out, est)
-    print(f"wrote {out}")
-    return 0
+    return _write_result(args, resdnet_forward(image, args.sigma, den)[0], "denoised.ppm")
 
 
 def cmd_pretrain(args) -> int:

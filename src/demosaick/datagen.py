@@ -41,7 +41,20 @@ def _smooth_field(gen, height: int, width: int, lo: float, hi: float) -> np.ndar
     return np.clip(f, lo, hi)
 
 
+# The smallest image size: blob radii are drawn from [4, height / 3] and
+# rectangle widths from [width // 8, width // 2).
+MIN_HEIGHT, MIN_WIDTH = 12, 2
+
+
+def check_size(height: int, width: int) -> None:
+    """Raise ``ValueError`` unless a synthetic image can have this size."""
+    if height < MIN_HEIGHT or width < MIN_WIDTH:
+        raise ValueError(f"synthetic images are at least {MIN_HEIGHT} px high and "
+                         f"{MIN_WIDTH} px wide, got {height}x{width}")
+
+
 def synthetic_image(seed: int, height: int = 64, width: int = 64) -> np.ndarray:
+    check_size(height, width)
     gen = np.random.Generator(np.random.Philox(key=seed))
     lum = _luminance_field(gen, height, width)
     img = np.empty((height, width, 3))

@@ -8,6 +8,7 @@ files come back with C = 1. A .npy array must be (H, W), (H, W, 1) or
 from __future__ import annotations
 
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,19 @@ class FormatError(ValueError):
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 
+# np.load parses each .npy header with ast.literal_eval. CPython 3.11's AST
+# constructor keeps one recursion count for all threads: when a garbage
+# collection runs a finalizer mid-parse and another thread parses meanwhile,
+# the first raises SystemError. `eval --threads` reads files on several
+# threads, so .npy reads take this lock.
+_NPY_LOCK = threading.Lock()
+
 
 def read_image(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npy":
-        arr = np.load(path)
+        with _NPY_LOCK:
+            arr = np.load(path)
         if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (1,), (3,)):
             raise FormatError(f"{path}: shape {arr.shape} is not (H, W), (H, W, 1) or (H, W, 3)")
         if arr.dtype.kind not in "biuf":

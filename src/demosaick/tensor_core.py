@@ -9,9 +9,11 @@ Convolutions use the correlation convention (no kernel flip) and reflexive
 padding so the spatial size is always preserved. One cached map of
 border rows per axis, numpy's ``reflect`` mode in closed form (period
 2(n - 1); a 1-px axis replicates), drives both the pad and its adjoint,
-so one pair serves every size. The pad copies the centre, then each
-border column and row; the adjoint copies the centre and adds each border
-row, then each border column, onto the one it copies, first to last.
+so one pair serves every size. One function writes every padded buffer,
+with or without a PReLU in front (``_pad_reflect``): its centre rows, in
+bands, each band with its border columns, then the border rows. The
+adjoint copies the centre and adds each border row, then each border
+column, onto the one it copies, first to last.
 
 All four convolution kernels (conv2d, conv_transpose2d and their backward
 passes) are one lowering: the k x k patches of the padded image, one row
@@ -38,13 +40,14 @@ A large convolution splits its work into contiguous bands, one per CPU
 the process may run on: the calling thread runs the first band and a pool
 of worker threads the others, each filling its part of buffers the caller
 allocated; conv2d's bands of image rows also copy their tiles into one
-buffer each. The PReLU written into the padded buffer and ``_im2col``'s
-patch copy split over image rows, and so does ``prelu_backward``. Every
-other GEMM (both weight gradients, the transposed backward's and col2im's)
-splits over the rows of its left matrix: pixels, or for the weight
-gradients and col2im the k*k*in filter-matrix rows, so no sum over pixels
-moves. col2im's adds split over contiguous ranges of the flat grid, each
-taking every offset's add in order.
+buffer each. The pad of every convolution's input (with its PReLU, if
+any) and ``_im2col``'s patch copy split over image rows, and so does
+``prelu_backward``. Every other GEMM (both weight gradients, the
+transposed backward's and col2im's) splits over the rows of its left
+matrix: pixels, or for the weight gradients and col2im the k*k*in
+filter-matrix rows, so no sum over pixels moves. col2im's adds split
+over contiguous ranges of the flat grid, each taking every offset's add
+in order.
 
 Importing this module sets numpy's bundled OpenBLAS to one thread, and
 that setting holds for the whole process: the bands are the package's
@@ -140,18 +143,37 @@ def _border_rows(n: int, pad: int) -> tuple:
     return tuple(rows)
 
 
-def _pad_reflect(x: np.ndarray, pad: int) -> np.ndarray:
+def _pad_reflect(x: np.ndarray, pad: int, slopes: np.ndarray | None = None,
+                 n: int = 1) -> np.ndarray:
     """Mirror-pad (H, W, C) by ``pad`` on every side (edge pixel not
-    repeated): a copy of the centre, then each border column of the
-    centre rows, then each border row."""
-    if pad == 0:
-        return x
+    repeated) into a new C-contiguous buffer; with ``slopes``, pad
+    ``prelu(x, slopes)``. Each of n bands of image rows writes its centre
+    rows, then their border columns; then the border rows are copied. A
+    centre row is a copy of x's, or max(x, 0) plus slopes * min(x, 0),
+    formed in its rows of a scratch array of x's shape. ``prelu`` is the
+    call with no pad."""
     H, W, C = x.shape
     rows, cols = _border_rows(H, pad), _border_rows(W, pad)
-    xp = np.empty((H + 2 * pad, W + 2 * pad, C), dtype=x.dtype)
-    xp[pad : pad + H, pad : pad + W] = x
-    for j, c in cols:
-        xp[pad : pad + H, j] = x[:, c]
+    if slopes is not None:
+        slopes = _check_slopes(x, slopes)
+        scratch = np.empty(x.shape, np.result_type(x, 0.0))
+    xp = np.empty((H + 2 * pad, W + 2 * pad, C), x.dtype if slopes is None else scratch.dtype)
+
+    def band(lo, hi):
+        band_rows = xp[pad + lo : pad + hi]
+        centre = band_rows[:, pad : pad + W]
+        if slopes is None:
+            centre[...] = x[lo:hi]
+        else:
+            t = scratch[lo:hi]
+            np.minimum(x[lo:hi], 0.0, out=t)
+            t *= slopes
+            np.maximum(x[lo:hi], 0.0, out=centre)
+            centre += t
+        for j, c in cols:
+            band_rows[:, j] = band_rows[:, pad + c]
+
+    _in_bands(band, H, n)
     for i, r in rows:
         xp[i] = xp[pad + r]
     return xp
@@ -262,12 +284,13 @@ def _in_bands(fn, rows: int, n: int) -> None:
     range(rows), of sizes that differ by at most one row. The caller runs
     the first band and waits for the rest; one band runs inline and never
     touches the pool. Its users are ``_patch_matmul`` (conv2d's tiled
-    product), ``_im2col``'s patch copy, ``_prelu_pad`` (the PReLU written
-    into the padded buffer), ``_rows_matmul`` (every other convolution
-    GEMM), ``_col2im``'s adds and ``prelu_backward``. ``fn`` must write its
-    results only into slices of buffers the caller allocated, and call
-    nothing that submits to the pool: a caller's own band never waits on
-    the pool, so callers on many threads cannot deadlock it."""
+    product), ``_im2col``'s patch copy, ``_pad_reflect`` (the padded
+    buffer and any PReLU written into it), ``_rows_matmul`` (every other
+    convolution GEMM), ``_col2im``'s adds and ``prelu_backward``. ``fn``
+    must write its results only into slices of buffers the caller
+    allocated, and call nothing that submits to the pool: a caller's own
+    band never waits on the pool, so callers on many threads cannot
+    deadlock it."""
     if n == 1:
         fn(0, rows)
         return
@@ -289,45 +312,15 @@ def _im2col(x: np.ndarray, k: int, slopes: np.ndarray | None = None) -> np.ndarr
     """(H, W, C) -> (H*W, k*k*C): row h*W + w is the k x k patch of the
     reflexive-padded input centred on pixel (h, w), in (i, j, c) order;
     with ``slopes``, of ``prelu(x, slopes)``, written into the padded
-    buffer (``_prelu_pad``). The pad and the patch copy run in bands of
-    image rows."""
+    buffer. The pad and the patch copy run in bands of image rows."""
     H, W, C = x.shape
     n = _band_count(H, H * W * k * k * C * x.itemsize)
-    xp = _prelu_pad(x, slopes, (k - 1) // 2, n)
+    xp = _pad_reflect(x, (k - 1) // 2, slopes, n)
     cols = np.empty((H * W, k * k * C), xp.dtype)
     patches = _patches(xp, k)
     out = cols.reshape(patches.shape)
     _in_bands(lambda lo, hi: np.copyto(out[lo:hi], patches[lo:hi]), H, n)
     return cols
-
-
-def _prelu_pad(x: np.ndarray, slopes: np.ndarray | None, pad: int, n: int) -> np.ndarray:
-    """The C-contiguous ``_pad_reflect(x, pad)``; with ``slopes``, of
-    ``prelu(x, slopes)``, in n bands of rows: each band writes max(x, 0),
-    then adds slopes * min(x, 0), formed in its rows of a scratch array of
-    x's shape, into the centre rows, then copies their border columns;
-    then the border rows are copied. ``prelu`` is this with no pad, in
-    one band."""
-    if slopes is None:
-        return np.ascontiguousarray(_pad_reflect(x, pad))
-    slopes = _check_slopes(x, slopes)
-    H, W, C = x.shape
-    scratch = np.empty(x.shape, np.result_type(x, 0.0))
-    xp = np.empty((H + 2 * pad, W + 2 * pad, C), scratch.dtype)
-
-    def band(lo, hi):
-        rows, t = xp[pad + lo : pad + hi], scratch[lo:hi]
-        np.minimum(x[lo:hi], 0.0, out=t)
-        t *= slopes
-        np.maximum(x[lo:hi], 0.0, out=rows[:, pad : pad + W])
-        rows[:, pad : pad + W] += t
-        for j, c in _border_rows(W, pad):
-            rows[:, j] = rows[:, pad + c]
-
-    _in_bands(band, H, n)
-    for i, r in _border_rows(H, pad):
-        xp[i] = xp[pad + r]
-    return xp
 
 
 def _patches(xp: np.ndarray, k: int) -> np.ndarray:
@@ -367,7 +360,7 @@ def _patch_matmul(x: np.ndarray, k: int, slopes: np.ndarray | None,
         tile = max(_TILE_BYTES // (row * x.itemsize), -(-(_MIN_WORK // 2) // (row * N)))
     else:
         n, tile = 1, max(H, 1)
-    xp = _prelu_pad(x, slopes, pad, n)
+    xp = _pad_reflect(x, pad, slopes, n)
     patches = _patches(xp, k)
     out = np.empty((H * W, N), np.result_type(xp, filter_matrix))
 
@@ -540,8 +533,8 @@ def _check_slopes(x: np.ndarray, slopes) -> np.ndarray:
 
 
 def prelu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """max(0, x) + slopes[c] * min(0, x), per channel (``_prelu_pad``)."""
-    return _prelu_pad(x, _check_slopes(check_image(x), slopes), 0, 1)
+    """max(0, x) + slopes[c] * min(0, x), per channel (``_pad_reflect``)."""
+    return _pad_reflect(check_image(x), 0, slopes)
 
 
 def prelu_backward(grad_out: np.ndarray, x: np.ndarray, slopes: np.ndarray):

@@ -40,10 +40,16 @@ from .resdnet import (
 from .tensor_core import ShapeError
 
 
+# The smallest noise level training uses. The projection radius grows with
+# sigma and degenerates at 0, so the cascade's learned sigmas are clamped to
+# this, and pretraining's sigma_hi may not be below it: at 5e-324 the noise
+# rounds away, every loss is 0 and nothing trains.
+SIGMA_FLOOR = 1e-3
+
 _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoch": 1,
                   "steps": 1, "depth": 1, "num_filters": 1, "lr_decay_every": 0,
                   "checkpoint_every": 0, "seed": 0, "weight_decay": 0, "sigma_lo": 0,
-                  "train_sigma": 0}
+                  "sigma_hi": SIGMA_FLOOR, "train_sigma": 0}
 _MAX_SEED = 2 ** 128 - 2  # Philox keys are below 2**128, and validation uses seed + 1
 
 
@@ -85,7 +91,6 @@ class TrainConfig:
         for key, bad, need in (
             ("lr", cfg.lr <= 0, "positive"),
             ("sigma_min", cfg.sigma_min <= 0, "positive"),
-            ("sigma_hi", cfg.sigma_hi <= 0, "positive"),
             ("sigma_lo", cfg.sigma_lo > cfg.sigma_hi, f"at most sigma_hi = {cfg.sigma_hi!r}"),
             ("sigma_max", cfg.sigma_max < cfg.sigma_min, f"at least sigma_min = {cfg.sigma_min!r}"),
             ("seed", cfg.seed > _MAX_SEED, f"at most {_MAX_SEED}"),
@@ -332,8 +337,7 @@ def train_joint(images: list, denoiser_init: ResDNetParams, cfg: TrainConfig):
     pattern = make_pattern(cfg.pattern)
 
     def unflatten(flat) -> CascadeParams:
-        # projection radius degenerates at sigma = 0
-        sigmas = np.maximum(flat["cascade.sigmas"], 1e-3)
+        sigmas = np.maximum(flat["cascade.sigmas"], SIGMA_FLOOR)
         return CascadeParams.from_flat({**flat, "cascade.sigmas": sigmas})
 
     def observe(clean, gen):

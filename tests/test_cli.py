@@ -443,8 +443,8 @@ class TestTrainingCommands:
         "lr = nan", "lr = inf", "train_sigma = -5.0", "sigma_lo = -1.0",
         "lr = 0.0", "lr = -1.0", "sigma_lo = 20.0", "seed = -1",
         "depth = 0", f"seed = {2 ** 128 - 1}", "steps = 0", "sigma_min = 0.0",
-        "sigma_max = 0.5", "sigma_hi = 0.0", "pattern = foo", "checkpoint_every = 1",
-        "checkpoint_path = ckpt.rdnc",
+        "sigma_max = 0.5", "sigma_hi = 0.0", "sigma_hi = 5e-324", "pattern = foo",
+        "checkpoint_every = 1", "checkpoint_path = ckpt.rdnc",
     ])
     def test_malformed_config_value_is_data_error(self, data_dir, train_cfg, tmp_path, capsys,
                                                   line):

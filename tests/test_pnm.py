@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -106,3 +110,44 @@ def test_write_bad_channels(tmp_path):
 def test_write_bad_bitdepth(tmp_path):
     with pytest.raises(ValueError):
         write_image(tmp_path / "x.ppm", np.zeros((2, 2, 3)), bitdepth=12)
+
+
+class _Finalized:
+    def __del__(self):
+        pass
+
+
+def test_npy_reads_on_many_threads(tmp_path):
+    """Four threads read one .npy file while making cyclic garbage whose
+    finalizers run mid-parse: every read succeeds (without the lock in
+    ``read_image``, CPython 3.11 raised SystemError from np.load's header
+    parse)."""
+    path = tmp_path / "a.npy"
+    np.save(path, np.zeros((4, 4, 3)))
+    errors = []
+
+    def work():
+        for _ in range(2000):
+            junk = [_Finalized() for _ in range(50)]
+            for j in junk:
+                j.self = j
+            del junk
+            try:
+                read_image(path)
+            except SystemError as exc:
+                errors.append(exc)
+
+    threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(10, 1, 1)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        gc.set_threshold(*threshold)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

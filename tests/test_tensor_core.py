@@ -105,12 +105,18 @@ def _index_map_fold(gp, n_h, n_w, pad):
 
 
 def test_pad_matches_np_pad_bitwise():
+    """In one to four bands of rows, on an input and on its transposed
+    view, pad >= n included: a C-contiguous buffer with np.pad's bits."""
     gen = rng(12)
     for h, w, pad in PAD_SIZES:
         for c in (1, 3):
             x = gen.normal(size=(h, w, c))
-            got, want = _pad_reflect(x, pad), _np_pad(x, pad)
-            assert np.array_equal(_bits(got), _bits(want)), (h, w, pad, c)
+            for v in (x, gen.normal(size=(w, h, c)).transpose(1, 0, 2)):
+                want = _np_pad(v, pad)
+                for n in range(1, 5):
+                    got = _pad_reflect(v, pad, None, n)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(_bits(got), _bits(want)), (h, w, pad, c, n)
 
 
 def test_pad_adjoint_matches_index_map_fold():
@@ -458,7 +464,7 @@ def _one_band_prelu(x, slopes):
 def _one_band_im2col(x, k, slopes=None):
     H, W, C = x.shape
     act = x if slopes is None else _one_band_prelu(x, slopes)
-    xp = np.ascontiguousarray(_pad_reflect(act, (k - 1) // 2))
+    xp = np.ascontiguousarray(_np_pad(act, (k - 1) // 2))
     return tensor_core._patches(xp, k).reshape(H * W, k * k * C)
 
 

@@ -9,6 +9,7 @@ from demosaick.pnm import write_image
 from demosaick.resdnet import ResDNetParams, init_resdnet
 from demosaick.tensor_core import ShapeError
 from demosaick.training import (
+    SIGMA_FLOOR,
     AdamState,
     TrainConfig,
     adam_step,
@@ -165,12 +166,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=repr(key)):
             TrainConfig.from_dict({key: -1e-9})
 
-    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-9])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1e-9, 5e-324, SIGMA_FLOOR * 0.999])
     def test_pretraining_noise_level_must_be_positive(self, value):
         """At sigma_hi = 0 every pretraining patch is noise-free: the
-        projection radius is 0, so every gradient is 0 and nothing trains."""
-        assert TrainConfig.from_dict({"sigma_hi": 5e-324}).sigma_hi == 5e-324
-        with pytest.raises(ValueError, match="'sigma_hi' must be positive"):
+        projection radius is 0, so every gradient is 0 and nothing trains.
+        At the smallest positive float, 5e-324, the noise rounds away and
+        the same holds, so sigma_hi must be at least SIGMA_FLOOR."""
+        assert TrainConfig.from_dict({"sigma_hi": SIGMA_FLOOR}).sigma_hi == SIGMA_FLOOR
+        with pytest.raises(ValueError, match=f"'sigma_hi' must be at least {SIGMA_FLOOR}"):
             TrainConfig.from_dict({"sigma_hi": value})
 
 
