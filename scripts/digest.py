@@ -12,6 +12,9 @@ The artifacts are:
   3 steps;
 - saved ``init_resdnet`` model files at (D, F, seed) = (1, 8, 0),
   (2, 4, 3) and (5, 64, 0);
+- the output of ``demosaick denoise`` at sigma 10, run through the CLI's
+  ``main`` with a saved (D, F, seed) = (2, 8, 3) ``init_resdnet`` model on
+  a noisy 32x32 synthetic image read from and written to ``.npy``;
 - a short pretraining (D=2, F=4) plus joint training (X-Trans, K=3,
   sigma 5) run: both lists of log rows and both saved model files;
 - one 64x64 X-Trans image at paper scale (D=5, F=64, K=10): the
@@ -116,6 +119,19 @@ def init() -> list:
             for d, f, s in ((1, 8, 0), (2, 4, 3), (5, 64, 0))]
 
 
+def cli_denoise() -> list:
+    clean = make_dataset(1, seed=5, height=32, width=32)[0][1]
+    noisy = clean + 10.0 * np.random.Generator(np.random.Philox(key=11)).normal(size=clean.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, image, out = (Path(tmp) / name for name in ("den.rdnc", "noisy.npy", "den.npy"))
+        save_model(init_resdnet(2, seed=3, num_filters=8), model)
+        np.save(image, noisy)
+        with contextlib.redirect_stdout(io.StringIO()):  # it names the temporary path
+            code = cli_main(["denoise", str(image), "--model", str(model), "--sigma", "10",
+                             "--out", str(out)])
+        return [("cli.denoise", _arrays({"exit": code, "output": np.load(out)}))]
+
+
 def train() -> list:
     images = make_dataset(6, seed=4, height=32, width=32)
     common = dict(patch_size=18, batch_size=2, lr=1e-2, lr_decay_every=1, epochs=2,
@@ -174,7 +190,7 @@ def desk() -> list:
 
 
 def main() -> None:
-    for part in (gradcheck, params, init, train, paper, desk):
+    for part in (gradcheck, params, init, cli_denoise, train, paper, desk):
         for name, digest in part():
             print(f"{name} {digest}", flush=True)
 

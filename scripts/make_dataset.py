@@ -3,7 +3,7 @@
 import argparse
 from pathlib import Path
 
-from demosaick.datagen import check_size, make_dataset
+from demosaick.datagen import check_seed, check_size, make_dataset
 from demosaick.pnm import write_image
 
 
@@ -20,6 +20,10 @@ def main(argv=None) -> None:
         check_size(args.size, args.size)
     except ValueError as exc:
         ap.error(f"--size: {exc}")
+    try:
+        check_seed(args.seed, args.count)
+    except ValueError as exc:
+        ap.error(f"--seed: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ import numpy as np
 from demosaick.datagen import make_dataset
 from demosaick.metrics import psnr
 from demosaick.modelfile import save_model
-from demosaick.resdnet import resdnet_forward
+from demosaick.resdnet import denoise
 from demosaick.training import TrainConfig, center_crop, pretrain_denoiser, split_dataset
 
 
@@ -50,7 +50,7 @@ def main(argv=None) -> None:
     for _, img in val:
         patch = center_crop(img, cfg.patch_size)
         noisy = patch + 15.0 * gen.standard_normal(patch.shape)
-        den, _ = resdnet_forward(noisy, 15.0, params)
+        den = denoise(noisy, 15.0, params)
         noisy_db.append(psnr(patch, np.clip(noisy, 0, 255)))
         denoised_db.append(psnr(patch, den))
     gain = np.mean(denoised_db) - np.mean(noisy_db)

@@ -22,6 +22,7 @@ from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .resdnet import (
     ResDNetParams,
+    denoise,
     filter_grads,
     init_resdnet,
     materialize_weights,
@@ -47,6 +48,7 @@ __all__ = [
     "demosaick",
     "demosaick_backward",
     "demosaick_forward",
+    "denoise",
     "filter_grads",
     "init_resdnet",
     "init_schedule",

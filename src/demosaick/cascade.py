@@ -2,11 +2,13 @@
 
 Each step extrapolates the two most recent estimates, re-imposes the
 observed CFA samples and runs the shared residual denoiser at that step's
-noise level. ``demosaick`` runs the steps for inference and keeps only the
-last two estimates. ``demosaick_forward`` runs the same steps and keeps
-every state and denoiser cache; the backward pass sweeps that trajectory
-in reverse, accumulating gradients for the shared denoiser parameters,
-the extrapolation weights and the noise schedule.
+noise level. ``demosaick`` runs the steps for inference through
+``resdnet.denoise``, which keeps no cache, and keeps only the last two
+estimates. ``demosaick_forward`` runs the same steps through
+``resdnet_forward`` and keeps every state and denoiser cache; the backward
+pass sweeps that trajectory in reverse, accumulating gradients for the
+shared denoiser parameters, the extrapolation weights and the noise
+schedule.
 
 The denoiser's filters are shared by all K steps and materialized once
 per parameter set (``ConvParams.bank``); the backward pass sums the K
@@ -22,6 +24,7 @@ import numpy as np
 from .cfa import MosaicObservation, data_consistency
 from .resdnet import (
     ResDNetParams,
+    denoise,
     filter_grads,
     resdnet_backward,
     resdnet_forward,
@@ -82,37 +85,34 @@ def init_schedule(K: int, sigma_max: float, sigma_min: float):
     return w, sigmas
 
 
-def _step(i: int, x_prev, x_cur, y: MosaicObservation, params: CascadeParams):
-    """Cascade step i: extrapolate, re-impose the observed samples, denoise.
-    Returns (x^(i+1), the denoiser's cache)."""
+def _step(i: int, x_prev, x_cur, y: MosaicObservation, params: CascadeParams, denoiser):
+    """Cascade step i: extrapolate, re-impose the observed samples, and run
+    ``denoiser`` (``denoise`` or ``resdnet_forward``) at the step's noise
+    level. Returns what ``denoiser`` returns."""
     u = x_cur + params.w[i] * (x_cur - x_prev)
     z = data_consistency(u, y)
-    return resdnet_forward(z, float(params.sigmas[i]), params.denoiser)
+    return denoiser(z, float(params.sigmas[i]), params.denoiser)
 
 
 def demosaick(y: MosaicObservation, params: CascadeParams) -> np.ndarray:
-    """Run the cascade for inference: the estimate only, with each step's
-    cache dropped when the step ends, so memory is one step's working set."""
+    """Run the cascade for inference: the estimate only. Each step runs
+    ``denoise``, which keeps nothing for a backward pass, so memory is a
+    few F-channel arrays of one step at a time."""
     x_prev, x_cur = np.zeros_like(y.data), y.data.copy()
     for i in range(params.steps):
-        x_prev, x_cur = x_cur, _step(i, x_prev, x_cur, y, params)[0]
+        x_prev, x_cur = x_cur, _step(i, x_prev, x_cur, y, params, denoise)
     return x_cur
 
 
 def demosaick_forward(y: MosaicObservation, params: CascadeParams):
     """Run the cascade keeping every step for BPTT. Returns (estimate,
     trajectory)."""
-    x_prev = np.zeros_like(y.data)
-    x_cur = y.data.copy()
-    states = [x_prev, x_cur]
-    caches = []
+    states, caches = [np.zeros_like(y.data), y.data.copy()], []
     for i in range(params.steps):
-        x_next, cache = _step(i, x_prev, x_cur, y, params)
-        caches.append(cache)
+        x_next, cache = _step(i, states[-2], states[-1], y, params, resdnet_forward)
         states.append(x_next)
-        x_prev, x_cur = x_cur, x_next
-    traj = Trajectory(states=states, caches=caches, observation=y)
-    return x_cur, traj
+        caches.append(cache)
+    return states[-1], Trajectory(states=states, caches=caches, observation=y)
 
 
 def demosaick_backward(grad: np.ndarray, traj: Trajectory, params: CascadeParams):

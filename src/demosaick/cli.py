@@ -21,7 +21,7 @@ from .metrics import linrgb_to_srgb, psnr
 from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .pnm import FormatError, read_image, write_image
-from .resdnet import ResDNetParams, init_resdnet, parameter_breakdown, resdnet_forward
+from .resdnet import ResDNetParams, denoise, init_resdnet, parameter_breakdown
 from .training import TrainConfig, load_dataset, pretrain_denoiser, train_joint
 
 PAPER_PARAM_TOTAL = 380_356
@@ -206,7 +206,7 @@ def cmd_denoise(args) -> int:
     image = read_image(args.input)
     params = load_model(args.model)
     den = params.denoiser if isinstance(params, CascadeParams) else params
-    return _write_result(args, resdnet_forward(image, args.sigma, den)[0], "denoised.ppm")
+    return _write_result(args, denoise(image, args.sigma, den), "denoised.ppm")
 
 
 def cmd_pretrain(args) -> int:

@@ -65,9 +65,22 @@ def synthetic_image(seed: int, height: int = 64, width: int = 64) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
+# Image i of a dataset drawn with seed s is synthetic_image(s * SEED_STRIDE + i).
+SEED_STRIDE = 100003
+
+
+def check_seed(seed: int, count: int) -> None:
+    """Raise ``ValueError`` unless the keys of a ``count``-image dataset
+    drawn with ``seed`` are all Philox keys, in [0, 2^128)."""
+    if not 0 <= seed * SEED_STRIDE <= 2 ** 128 - count:
+        raise ValueError(f"image keys seed * {SEED_STRIDE} + i must lie in [0, 2^128), "
+                         f"got seed {seed} for {count} images")
+
+
 def make_dataset(count: int, seed: int = 0, height: int = 64, width: int = 64) -> list:
     """List of (name, image) pairs, compatible with the training pipeline."""
+    check_seed(seed, count)
     return [
-        (f"synth_{i:04d}.ppm", synthetic_image(seed * 100003 + i, height, width))
+        (f"synth_{i:04d}.ppm", synthetic_image(seed * SEED_STRIDE + i, height, width))
         for i in range(count)
     ]

@@ -3,12 +3,15 @@
 All reads return float64 arrays of shape (H, W, C) scaled to [0, 255]
 (16-bit files are divided by maxval and multiplied by 255). Grayscale
 files come back with C = 1. A .npy array must be (H, W), (H, W, 1) or
-(H, W, 3) of bool, integer or float dtype; it is read unscaled.
+(H, W, 3) of bool, integer or float dtype; it is read unscaled. A file that
+cannot be read as one of these raises FormatError naming the file.
 """
 from __future__ import annotations
 
 import re
 import threading
+import tokenize
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +30,23 @@ _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 # threads, so .npy reads take this lock.
 _NPY_LOCK = threading.Lock()
 
+# What np.load raises on a malformed file: EOFError on an empty one,
+# tokenize.TokenError on a header dict it cannot tokenize, BadZipFile on a
+# broken zip archive (the .npz magic), and ValueError on anything else.
+_NPY_ERRORS = (EOFError, tokenize.TokenError, zipfile.BadZipFile, ValueError)
+
 
 def read_image(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npy":
-        with _NPY_LOCK:
-            arr = np.load(path)
+        try:
+            with _NPY_LOCK:
+                arr = np.load(path)
+        except _NPY_ERRORS as exc:
+            raise FormatError(f"{path}: not a readable .npy array: {exc}") from exc
+        if not isinstance(arr, np.ndarray):  # np.load opens a zip archive as an NpzFile
+            arr.close()
+            raise FormatError(f"{path}: a .npz archive, not a .npy array")
         if arr.ndim not in (2, 3) or arr.shape[2:] not in ((), (1,), (3,)):
             raise FormatError(f"{path}: shape {arr.shape} is not (H, W), (H, W, 1) or (H, W, 3)")
         if arr.dtype.kind not in "biuf":

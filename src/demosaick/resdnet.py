@@ -4,15 +4,19 @@ normalized filter parametrization and the variance-aware projection layer.
 The network is one local map and one global step, each with its adjoint.
 ``residual`` (the head, 2D blocks and transposed tail) estimates the noise
 realization; each output pixel sees a bounded window of the input.
-``resdnet_forward`` then rescales that estimate so its l2 norm is at most
+The global step then rescales that estimate so its l2 norm is at most
 eps = exp(gamma) * sigma * sqrt(N - 1), subtracts it from the input and
-clips to [0, 255]; ``resdnet_backward`` runs the clip's and projection's
-adjoints, then ``residual_backward``. A forward pass keeps 2D + 1 F-channel
-arrays ((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64 patch at
-D=5, F=64): each PReLU's input and the tail input. Each block layer is
-one ``conv2d`` call that applies its PReLU while it pads (``slopes=``);
-its ``conv2d_backward`` applies it again to the cached input the same way,
-so no PReLU output is kept or computed apart.
+clips to [0, 255]. One function runs both for two callers: ``denoise``
+returns the estimate and keeps nothing, so inference holds a few F-channel
+arrays at a time (a paper-scale cascade peaks at about 2.2-2.5 KiB per
+pixel); ``resdnet_forward`` also keeps what ``residual`` hands its ``keep``,
+each PReLU's input and the tail input: 2D + 1 F-channel arrays
+((2D + 1) * F * H * W * 8 bytes, about 22 MiB for a 64x64 patch at D=5,
+F=64). ``resdnet_backward`` runs the clip's and projection's adjoints,
+then ``residual_backward``. Each block layer is one ``conv2d`` call that
+applies its PReLU while it pads (``slopes=``); its ``conv2d_backward``
+applies it again to the kept input the same way, so no PReLU output is
+kept or computed apart.
 All trainable tensors live in ResDNetParams; its depth D is read from its
 2D blocks. ``layer_shapes(D, F)`` is the one statement of every array's
 shape: ``init_resdnet`` draws from it, ``parameter_breakdown`` sums it and
@@ -57,6 +61,14 @@ class DegenerateFilterError(ValueError):
 # filter parametrization
 
 
+def _centre(u: np.ndarray):
+    """(w0, norm, axes): u less its mean and the l2 norm of that, each over
+    one filter's axes; a 1-D u is one filter."""
+    axes = (0,) if u.ndim == 1 else tuple(range(1, u.ndim))
+    w0 = u - u.mean(axis=axes, keepdims=True)
+    return w0, np.sqrt((w0 ** 2).sum(axis=axes, keepdims=True)), axes
+
+
 def materialize_weights(u: np.ndarray, s) -> np.ndarray:
     """Effective filter v = s * (u - mean(u)) / ||u - mean(u)||_2.
 
@@ -64,26 +76,16 @@ def materialize_weights(u: np.ndarray, s) -> np.ndarray:
     normalized independently with its own scale s[o]; a 1-D u is treated
     as a single filter with scalar s.
     """
-    u = np.asarray(u, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if u.ndim == 1:
-        axes = (0,)
-    else:
-        axes = tuple(range(1, u.ndim))
-    w0 = u - u.mean(axis=axes, keepdims=True)
-    norm = np.sqrt((w0 ** 2).sum(axis=axes, keepdims=True))
+    w0, norm, _ = _centre(np.asarray(u, dtype=np.float64))
     if np.any(norm <= _NORM_TOL):
         raise DegenerateFilterError("constant raw filter cannot be normalized")
-    return np.reshape(s, norm.shape) * w0 / norm
+    return np.reshape(np.asarray(s, dtype=np.float64), norm.shape) * w0 / norm
 
 
 def materialize_weights_backward(grad_v: np.ndarray, u: np.ndarray, s):
     """Gradients of materialize_weights w.r.t. (u, s)."""
-    u = np.asarray(u, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    axes = (0,) if u.ndim == 1 else tuple(range(1, u.ndim))
-    w0 = u - u.mean(axis=axes, keepdims=True)
-    norm = np.sqrt((w0 ** 2).sum(axis=axes, keepdims=True))
+    w0, norm, axes = _centre(np.asarray(u, dtype=np.float64))
     sr = np.reshape(s, norm.shape)
     dot = (grad_v * w0).sum(axis=axes, keepdims=True)
     g_s = np.reshape(dot / norm, s.shape)
@@ -199,19 +201,19 @@ class ResDNetParams:
 
 @dataclass
 class DenoiseCache:
-    """Intermediates of one forward pass, as needed by the backward pass.
+    """What ``resdnet_backward`` needs of one ``resdnet_forward`` pass.
 
-    Of the F-channel arrays it keeps only the 2D PReLU inputs and the tail
-    input, (2D + 1) * F * H * W * 8 bytes: about 22 MiB for a 64x64 patch
-    at D=5, F=64. The backward pass applies each PReLU again inside its
-    layer's ``conv2d_backward``, which costs no convolution."""
+    ``kept`` holds, in order, the input of each of the 2D PReLUs and then
+    the tail's input: (2D + 1) * F * H * W * 8 bytes, about 22 MiB for a
+    64x64 patch at D=5, F=64. The backward pass applies each PReLU again
+    inside its layer's ``conv2d_backward``, which costs no convolution, and
+    recomputes the pre-clip output from ``x`` and ``residual``. Inference
+    (``denoise``) builds no cache."""
 
     x: np.ndarray
     sigma: float
-    block_pre: list        # input of each PReLU (len 2D)
-    tail_in: np.ndarray
+    kept: list             # each PReLU's input (2D), then the tail's input
     residual: np.ndarray   # tail output, before projection
-    pre_clip: np.ndarray
 
 
 def layer_shapes(depth: int, num_filters: int) -> dict:
@@ -267,19 +269,20 @@ def filter_grads(grads: dict, params: ResDNetParams) -> dict:
     return out
 
 
-def residual(x: np.ndarray, params: ResDNetParams):
+def residual(x: np.ndarray, params: ResDNetParams, keep=lambda h: None) -> np.ndarray:
     """The local map: head, the 2D blocks with a shortcut around each pair,
-    and the transposed tail. Returns (r, block_pre, tail_in): the noise
-    estimate, each PReLU's input and the tail's input."""
+    and the transposed tail. Returns the noise estimate r; each PReLU's
+    input and then the tail's input are handed to ``keep`` as they are
+    made, and dropped unless ``keep`` holds on to them."""
     h = conv2d(x, params.head.bank)
-    block_pre = []
     for pair in range(params.depth):
         p = h
         for blk in params.blocks[2 * pair : 2 * pair + 2]:
-            block_pre.append(h)
+            keep(h)
             h = conv2d(h, blk.bank, slopes=blk.kappa)
         h += p
-    return conv_transpose2d(h, params.tail.bank), block_pre, h
+    keep(h)
+    return conv_transpose2d(h, params.tail.bank)
 
 
 def residual_backward(g_r: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
@@ -287,10 +290,10 @@ def residual_backward(g_r: np.ndarray, cache: DenoiseCache, params: ResDNetParam
     in ``resdnet_backward`` without ``gamma``."""
     grads = {}
     g_h, grads["tail.weights"], grads["tail.bias"] = conv_transpose2d_backward(
-        g_r, cache.tail_in, params.tail.bank
+        g_r, cache.kept[-1], params.tail.bank
     )
     layers = [(block_name(i), blk, pre)
-              for i, (blk, pre) in enumerate(zip(params.blocks, cache.block_pre))]
+              for i, (blk, pre) in enumerate(zip(params.blocks, cache.kept))]
     for pair in reversed(range(params.depth)):
         g_p = g_h  # shortcut branch
         for p, blk, pre in reversed(layers[2 * pair : 2 * pair + 2]):
@@ -305,18 +308,30 @@ def residual_backward(g_r: np.ndarray, cache: DenoiseCache, params: ResDNetParam
     return g_x, grads
 
 
-def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
-    """Denoise ``x`` assuming noise level ``sigma``: subtract the projected
-    ``residual`` and clip. Returns (output, cache)."""
+def _denoised(x: np.ndarray, sigma: float, params: ResDNetParams, keep=lambda h: None):
+    """Check the input, run ``residual`` (handing ``keep`` what it keeps),
+    subtract the projected residual and clip. Returns (output, residual)."""
     if x.ndim != 3 or x.shape[2] != params.head.u.shape[1]:
         raise ShapeError(f"expected (H, W, {params.head.u.shape[1]}) input, got {x.shape}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    r, block_pre, tail_in = residual(x, params)
-    pre = x - project_noise(r, sigma, params.gamma)
-    cache = DenoiseCache(x=x, sigma=sigma, block_pre=block_pre, tail_in=tail_in,
-                         residual=r, pre_clip=pre)
-    return clip(pre, 0.0, 255.0), cache
+    r = residual(x, params, keep)
+    return clip(x - project_noise(r, sigma, params.gamma), 0.0, 255.0), r
+
+
+def denoise(x: np.ndarray, sigma: float, params: ResDNetParams) -> np.ndarray:
+    """Denoise ``x`` assuming noise level ``sigma``: subtract the projected
+    ``residual`` and clip. Keeps nothing for a backward pass, so it holds
+    only a few F-channel arrays at a time."""
+    return _denoised(x, sigma, params)[0]
+
+
+def resdnet_forward(x: np.ndarray, sigma: float, params: ResDNetParams):
+    """``denoise`` that also keeps what ``resdnet_backward`` needs. Returns
+    (output, cache); the output is ``denoise``'s, bit for bit."""
+    kept = []
+    out, r = _denoised(x, sigma, params, kept.append)
+    return out, DenoiseCache(x=x, sigma=sigma, kept=kept, residual=r)
 
 
 def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetParams):
@@ -328,7 +343,9 @@ def resdnet_backward(grad_out: np.ndarray, cache: DenoiseCache, params: ResDNetP
     ``filter_grads`` once."""
     if grad_out.shape != cache.x.shape:
         raise ShapeError("grad_out shape does not match forward output")
-    g_pre = clip_backward(grad_out, cache.pre_clip, 0.0, 255.0)
+    # the pre-clip output, recomputed bit for bit as the forward pass made it
+    pre = cache.x - project_noise(cache.residual, cache.sigma, params.gamma)
+    g_pre = clip_backward(grad_out, pre, 0.0, 255.0)
     g_r, g_gamma, g_sigma = project_noise_backward(
         -g_pre, cache.residual, cache.sigma, params.gamma
     )

@@ -32,6 +32,7 @@ from .metrics import psnr
 from .modelfile import save_model
 from .resdnet import (
     ResDNetParams,
+    denoise,
     filter_grads,
     init_resdnet,
     resdnet_backward,
@@ -316,7 +317,7 @@ def pretrain_denoiser(images: list, cfg: TrainConfig):
         return value, filter_grads(resdnet_backward(g, cache, p)[1], p)
 
     def evaluate(p: ResDNetParams, clean, noisy) -> float:
-        return psnr(clean, resdnet_forward(noisy, cfg.sigma_hi, p)[0])
+        return psnr(clean, denoise(noisy, cfg.sigma_hi, p))
 
     init = init_resdnet(cfg.depth, cfg.seed, cfg.num_filters)
     return _fit(images, init.flatten(), cfg, ResDNetParams.from_flat,

@@ -285,6 +285,20 @@ class TestReconstructionCommands:
         assert main(["bilinear", str(obs), "--out", str(tmp_path / "est.npy")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["empty", "header", "npz"])
+    def test_malformed_npy_is_data_error(self, tmp_path, capsys, damage):
+        """An empty .npy file, one whose header dict lost its closing
+        parenthesis, and a .npz archive named .npy are data errors naming
+        the file, not tracebacks."""
+        obs, npz = tmp_path / "obs.npy", tmp_path / "obs.npz"
+        np.save(obs, np.zeros((4, 4, 3)))
+        np.savez(npz, obs=np.zeros((4, 4, 3)))
+        damaged = {"empty": b"", "npz": npz.read_bytes(),
+                   "header": obs.read_bytes().replace(b"(4, 4, 3)", b"(4, 4, 3 ")}
+        obs.write_bytes(damaged[damage])
+        assert main(["bilinear", str(obs), "--out", str(tmp_path / "est.npy")]) == 2
+        assert f"data error: {obs}:" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     @pytest.fixture

@@ -15,7 +15,7 @@ def digest():
     return module
 
 
-@pytest.mark.parametrize("part", ["init", "params", "train", "desk"])
+@pytest.mark.parametrize("part", ["init", "params", "cli_denoise", "train", "desk"])
 def test_digest_repeats_within_one_process(digest, part):
     """The desk-scale digests print the same lines on a second run; the
     gradcheck and paper-scale parts are left to the script itself."""

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demosaick.pnm import FormatError, read_image, write_image
 
@@ -93,6 +95,38 @@ def test_truncated_header(tmp_path):
     path.write_bytes(b"P6\n2")
     with pytest.raises(FormatError):
         read_image(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """{name: bytes} of one valid file of each kind read_image takes."""
+    d = tmp_path_factory.mktemp("valid")
+    img = np.round(rng(5).uniform(0, 255, size=(6, 7, 3)))
+    for name, bits in (("rgb8.ppm", 8), ("rgb16.ppm", 16), ("gray8.pgm", 8),
+                       ("gray16.pgm", 16), ("rgb.npy", 8)):
+        write_image(d / name, img[:, :, :1] if name.endswith(".pgm") else img, bitdepth=bits)
+    return {path.name: path.read_bytes() for path in d.iterdir()}
+
+
+@given(name=st.sampled_from(["rgb8.ppm", "rgb16.ppm", "gray8.pgm", "gray16.pgm", "rgb.npy"]),
+       edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)),
+                      min_size=1, max_size=4),
+       keep=st.none() | st.integers(0, 2 ** 16))
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_mutated_files_read_or_are_format_errors(tmp_path_factory, valid_files, name, edits,
+                                                 keep):
+    """A valid file with 1-4 bytes replaced, or cut to its first ``keep``
+    bytes, reads as an (H, W, C) float64 image or raises FormatError."""
+    raw = bytearray(valid_files[name])
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    path = tmp_path_factory.getbasetemp() / f"mutated{name[-4:]}"
+    path.write_bytes(bytes(raw if keep is None else raw[:keep % len(raw)]))
+    try:
+        img = read_image(path)
+    except FormatError:
+        return
+    assert img.dtype == np.float64 and img.ndim == 3 and img.shape[2] in (1, 3)
 
 
 def test_write_clips(tmp_path):

@@ -14,6 +14,7 @@ from demosaick.modelfile import ModelFormatError, load_model, save_model
 from demosaick.resdnet import (
     DegenerateFilterError,
     ResDNetParams,
+    denoise,
     init_resdnet,
     materialize_weights,
     parameter_breakdown,
@@ -138,7 +139,7 @@ class TestDerivedDepth:
         p.blocks = p.blocks + init_resdnet(1, seed=4, num_filters=4).blocks
         assert p.depth == 2
         _, cache = resdnet_forward(rng(8).uniform(0, 255, size=(6, 6, 3)), 5.0, p)
-        assert len(cache.block_pre) == 4
+        assert len(cache.kept) == 5
         save_model(p, tmp_path / "d.rdnc")
         back = load_model(tmp_path / "d.rdnc")
         assert back.depth == 2
@@ -211,7 +212,7 @@ class TestForward:
         x = rng(5).uniform(0, 255, size=(8, 8, 3))
         out, cache = resdnet_forward(x, sigma, p)
         eps = math.exp(p.gamma) * sigma * math.sqrt(x.size - 1)
-        assert np.linalg.norm(x - cache.pre_clip) <= eps + 1e-9
+        assert np.linalg.norm(project_noise(cache.residual, sigma, p.gamma)) <= eps + 1e-9
 
     def test_deterministic(self):
         p = init_resdnet(1, seed=6, num_filters=8)
@@ -228,8 +229,10 @@ class TestForward:
 
 class TestLocalMapAndGlobalStep:
     """``resdnet_forward`` is ``residual`` followed by the projection,
-    subtraction and clip, and ``residual_backward`` is the adjoint of
-    ``residual``; each on both projection branches."""
+    subtraction and clip, keeping what ``residual`` hands its ``keep``;
+    ``denoise`` returns the same estimate and keeps nothing; and
+    ``residual_backward`` is the adjoint of ``residual``. Each on both
+    projection branches."""
 
     @staticmethod
     def net():
@@ -239,15 +242,16 @@ class TestLocalMapAndGlobalStep:
     def test_forward_is_residual_then_global_step(self, sigma, projected):
         p, x = self.net()
         out, cache = resdnet_forward(x, sigma, p)
-        r, block_pre, tail_in = residual(x, p)
+        kept = []
+        r = residual(x, p, kept.append)
         eps = math.exp(p.gamma) * sigma * math.sqrt(x.size - 1)
         assert (np.linalg.norm(r) > eps) == projected
         pre = x - project_noise(r, sigma, p.gamma)
-        want = {"out": np.clip(pre, 0.0, 255.0), "x": x, "residual": r, "pre_clip": pre,
-                "tail_in": tail_in, **{f"block_pre{i}": a for i, a in enumerate(block_pre)}}
-        got = {"out": out, "x": cache.x, "residual": cache.residual, "pre_clip": cache.pre_clip,
-               "tail_in": cache.tail_in,
-               **{f"block_pre{i}": a for i, a in enumerate(cache.block_pre)}}
+        want = {"out": np.clip(pre, 0.0, 255.0), "denoise": np.clip(pre, 0.0, 255.0),
+                "x": x, "residual": r, **{f"kept{i}": a for i, a in enumerate(kept)}}
+        got = {"out": out, "denoise": denoise(x, sigma, p), "x": cache.x,
+               "residual": cache.residual, **{f"kept{i}": a for i, a in enumerate(cache.kept)}}
+        assert len(kept) == 2 * p.depth + 1
         assert got.keys() == want.keys() and cache.sigma == sigma
         for name, a in want.items():
             assert got[name].tobytes() == a.tobytes(), name
@@ -259,7 +263,7 @@ class TestLocalMapAndGlobalStep:
         g_x, grads = residual_backward(c, resdnet_forward(x, sigma, p)[1], p)
 
         def loss(xin, params):
-            return float((c * residual(xin, params)[0]).sum())
+            return float((c * residual(xin, params)).sum())
 
         def block01_materialized_as(w):
             blk = replace(p.blocks[1])

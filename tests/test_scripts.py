@@ -31,10 +31,11 @@ def test_experiment_script_checks_its_config(capsys, script, args, flag, value, 
 
 
 @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-2"),
-                                        ("--size", "8"), ("--size", "11")])
+                                        ("--size", "8"), ("--size", "11"), ("--seed", "-1")])
 def test_make_dataset_rejects_empty_or_too_small_sets(capsys, tmp_path, flag, value):
-    """A count below 1 or a size below the synthetic images' minimum is a
-    usage error (exit 2) naming the flag, before the directory is made."""
+    """A count below 1, a size below the synthetic images' minimum or a
+    seed whose image keys are not Philox keys is a usage error (exit 2)
+    naming the flag, before the directory is made."""
     out = tmp_path / "images"
     with pytest.raises(SystemExit) as exc:
         _load("make_dataset").main([str(out), flag, value])

@@ -22,8 +22,8 @@ def test_step_keeps_prelu_inputs_and_tail_input_only(spans):
     # per step: the 2D PReLU inputs and the tail input
     f_channel = K * (2 * D + 1) * F * H * W * 8
     # the K + 2 states, the observation, and per step the denoiser's
-    # input, its residual and its pre-clip output
-    three_channel = ((K + 2) + 1 + 3 * K) * 3 * H * W * 8
+    # input and its residual
+    three_channel = ((K + 2) + 1 + 2 * K) * 3 * H * W * 8
     assert spans.retained_bytes(traj) == f_channel + three_channel + y.pattern.cell.nbytes
 
 
@@ -36,10 +36,21 @@ def _peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
+def _inference_peak(depth: int, num_filters: int, y) -> int:
+    """Peak bytes of one ``demosaick`` call of a 4-step cascade of the given
+    depth and width, its filters materialized beforehand."""
+    den = init_resdnet(depth, seed=0, num_filters=num_filters)
+    cp = CascadeParams(den, *init_schedule(4, 15.0, 1.0))
+    demosaick(y, cp)
+    return _peak_bytes(lambda: demosaick(y, cp))
+
+
 def test_inference_holds_one_step(spans):
     """The peak of a K-step ``demosaick`` stays within half a step's cache
     of a one-step cascade's peak, one step's working set; a cache kept
-    across steps adds a whole one per step."""
+    across steps adds a whole one per step. Nor does it grow with depth:
+    at D=5 it stays within one F-channel image of the peak at D=1, where a
+    step that kept every PReLU input would add eight."""
     D, F, K, H, W = 2, 8, 6, 32, 32
     w, sigmas = init_schedule(K, 15.0, 1.0)
     den = init_resdnet(D, seed=0, num_filters=F)
@@ -52,3 +63,6 @@ def test_inference_holds_one_step(spans):
     bound = _peak_bytes(lambda: demosaick(y, one)) + step_cache // 2
     assert _peak_bytes(lambda: demosaick(y, cp)) <= bound
     assert _peak_bytes(lambda: demosaick_forward(y, cp)) > bound + (K - 2) * step_cache
+
+    y = mosaic(gen.uniform(0, 255, size=(64, 64, 3)), make_pattern("bayer_rggb"))
+    assert _inference_peak(5, F, y) <= _inference_peak(1, F, y) + F * 64 * 64 * 8
