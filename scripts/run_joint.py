@@ -11,17 +11,20 @@ import time
 
 import numpy as np
 
-from demosaick.cascade import demosaick
+from demosaick.cascade import CascadeParams, demosaick
 from demosaick.cfa import bilinear_demosaick, make_pattern, mosaic
-from demosaick.datagen import make_dataset
+from demosaick.datagen import check_seed, make_dataset
 from demosaick.metrics import psnr
 from demosaick.modelfile import load_model, save_model
 from demosaick.training import TrainConfig, center_crop, split_dataset, train_joint
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> dict:
+    """Run the experiment; returns the training seconds (``train_s``) and
+    the held-out margin over bilinear in dB (``margin_db``)."""
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--init", required=True, help="pretrained denoiser model file")
+    ap.add_argument("--init", required=True,
+                    help="pretrained denoiser model file (a cascade file gives its denoiser)")
     ap.add_argument("--out", default="cascade.rdnc")
     ap.add_argument("--log", default="joint_log.csv")
     ap.add_argument("--epochs", type=int, default=6)
@@ -42,14 +45,27 @@ def main(argv=None) -> None:
         ))
     except ValueError as exc:
         ap.error(str(exc))
+    if args.images < 2:
+        ap.error(f"--images must be at least 2, one to train on and one to validate on, "
+                 f"got {args.images}")
+    try:
+        check_seed(args.data_seed, args.images)
+    except ValueError as exc:
+        ap.error(f"--data-seed: {exc}")
+    try:
+        denoiser = load_model(args.init)
+    except (OSError, ValueError) as exc:  # a ModelFormatError is a ValueError
+        ap.error(f"--init: {exc}")
+    if isinstance(denoiser, CascadeParams):
+        denoiser = denoiser.denoiser
 
     images = make_dataset(args.images, seed=args.data_seed)
-    denoiser = load_model(args.init)
     start = time.perf_counter()
     params, _ = train_joint(images, denoiser, cfg)
-    print(f"trained in {time.perf_counter() - start:.1f}s")
+    train_s = time.perf_counter() - start
+    print(f"trained in {train_s:.1f}s")
 
-    _, val = split_dataset(images)
+    _, val = split_dataset(images, cfg.patch_size)
     pattern = make_pattern(args.pattern)
     gen = np.random.Generator(np.random.Philox(key=1234))
     bil, casc = [], []
@@ -62,11 +78,13 @@ def main(argv=None) -> None:
         obs = mosaic(patch_obs, pattern)
         bil.append(psnr(patch, bilinear_demosaick(obs)))
         casc.append(psnr(patch, demosaick(obs, params)))
+    margin = float(np.mean(casc) - np.mean(bil))
     print(f"held-out: bilinear {np.mean(bil):.2f} dB, cascade {np.mean(casc):.2f} dB, "
-          f"margin {np.mean(casc) - np.mean(bil):+.2f} dB")
+          f"margin {margin:+.2f} dB")
 
     save_model(params, args.out)
     print(f"wrote {args.out}")
+    return {"train_s": train_s, "margin_db": margin}
 
 
 if __name__ == "__main__":

@@ -10,14 +10,16 @@ import time
 
 import numpy as np
 
-from demosaick.datagen import make_dataset
+from demosaick.datagen import check_seed, make_dataset
 from demosaick.metrics import psnr
 from demosaick.modelfile import save_model
 from demosaick.resdnet import denoise
 from demosaick.training import TrainConfig, center_crop, pretrain_denoiser, split_dataset
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> dict:
+    """Run the experiment; returns the training seconds (``train_s``) and
+    the held-out denoising gain in dB (``gain_db``)."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="denoiser.rdnc")
     ap.add_argument("--log", default="pretrain_log.csv")
@@ -38,13 +40,21 @@ def main(argv=None) -> None:
         ))
     except ValueError as exc:
         ap.error(str(exc))
+    if args.images < 2:
+        ap.error(f"--images must be at least 2, one to train on and one to validate on, "
+                 f"got {args.images}")
+    try:
+        check_seed(args.data_seed, args.images)
+    except ValueError as exc:
+        ap.error(f"--data-seed: {exc}")
 
     images = make_dataset(args.images, seed=args.data_seed)
     start = time.perf_counter()
     params, _ = pretrain_denoiser(images, cfg)
-    print(f"trained in {time.perf_counter() - start:.1f}s")
+    train_s = time.perf_counter() - start
+    print(f"trained in {train_s:.1f}s")
 
-    _, val = split_dataset(images)
+    _, val = split_dataset(images, cfg.patch_size)
     gen = np.random.Generator(np.random.Philox(key=99))
     noisy_db, denoised_db = [], []
     for _, img in val:
@@ -53,12 +63,13 @@ def main(argv=None) -> None:
         den = denoise(noisy, 15.0, params)
         noisy_db.append(psnr(patch, np.clip(noisy, 0, 255)))
         denoised_db.append(psnr(patch, den))
-    gain = np.mean(denoised_db) - np.mean(noisy_db)
+    gain = float(np.mean(denoised_db) - np.mean(noisy_db))
     print(f"held-out denoising at sigma 15: noisy {np.mean(noisy_db):.2f} dB, "
           f"denoised {np.mean(denoised_db):.2f} dB, gain {gain:+.2f} dB")
 
     save_model(params, args.out)
     print(f"wrote {args.out}")
+    return {"train_s": train_s, "gain_db": gain}
 
 
 if __name__ == "__main__":

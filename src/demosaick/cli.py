@@ -22,7 +22,7 @@ from .modelfile import load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .pnm import FormatError, read_image, write_image
 from .resdnet import ResDNetParams, denoise, init_resdnet, parameter_breakdown
-from .training import TrainConfig, load_dataset, pretrain_denoiser, train_joint
+from .training import MAX_SEED, TrainConfig, load_dataset, pretrain_denoiser, train_joint
 
 PAPER_PARAM_TOTAL = 380_356
 
@@ -302,6 +302,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 <= args.seed <= MAX_SEED:  # the checks' models are keyed with seed + 1
+        raise ValueError(f"--seed must be in [0, 2^128 - 2], got {args.seed}")
     errs = gc.run_all(seed=args.seed)
     worst = 0.0
     for key in sorted(errs):

@@ -51,7 +51,7 @@ _CONFIG_MINIMA = {"patch_size": 1, "batch_size": 1, "epochs": 1, "steps_per_epoc
                   "steps": 1, "depth": 1, "num_filters": 1, "lr_decay_every": 0,
                   "checkpoint_every": 0, "seed": 0, "weight_decay": 0, "sigma_lo": 0,
                   "sigma_hi": SIGMA_FLOOR, "train_sigma": 0}
-_MAX_SEED = 2 ** 128 - 2  # Philox keys are below 2**128, and validation uses seed + 1
+MAX_SEED = 2 ** 128 - 2  # Philox keys are below 2**128, and validation uses seed + 1
 
 
 @dataclass
@@ -94,7 +94,7 @@ class TrainConfig:
             ("sigma_min", cfg.sigma_min <= 0, "positive"),
             ("sigma_lo", cfg.sigma_lo > cfg.sigma_hi, f"at most sigma_hi = {cfg.sigma_hi!r}"),
             ("sigma_max", cfg.sigma_max < cfg.sigma_min, f"at least sigma_min = {cfg.sigma_min!r}"),
-            ("seed", cfg.seed > _MAX_SEED, f"at most {_MAX_SEED}"),
+            ("seed", cfg.seed > MAX_SEED, f"at most {MAX_SEED}"),
             ("pattern", cfg.pattern not in PATTERN_NAMES, f"one of {PATTERN_NAMES}"),
         ):
             if bad:
@@ -180,27 +180,29 @@ def load_dataset(directory) -> list:
     return items
 
 
-def split_dataset(items: list):
-    """Fixed 80/20 train/validation split by sorted filename."""
-    if len(items) < 2:
-        raise ValueError("a dataset needs at least two images, one to train on and one "
-                         f"to validate on; got {len(items)}")
-    items = sorted(items, key=lambda kv: kv[0])
-    n_val = max(1, len(items) // 5)
-    return items[:-n_val], items[-n_val:]
+def split_dataset(items: list, patch: int):
+    """Fixed 80/20 train/validation split by sorted filename of the images
+    at least ``patch`` px on each side. A smaller image has no patch to
+    train or validate on, so it is dropped, with one warning naming them."""
+    small = sorted(name for name, img in items if min(img.shape[:2]) < patch)
+    if small:
+        warnings.warn(f"dropping {len(small)} image(s) smaller than the {patch}x{patch} "
+                      f"patch: {', '.join(small)}")
+    fits = sorted((kv for kv in items if min(kv[1].shape[:2]) >= patch), key=lambda kv: kv[0])
+    if len(fits) < 2:
+        size = f" of at least {patch}x{patch} px" if small else ""
+        raise ValueError(f"a dataset needs at least two images{size}, one to train on and "
+                         f"one to validate on; got {len(fits)}")
+    n_val = max(1, len(fits) // 5)
+    return fits[:-n_val], fits[-n_val:]
 
 
 def sample_patches(images: list, count: int, patch: int, gen, flips: bool = False):
-    """Uniformly random crops (with optional horizontal/vertical flips)."""
+    """Uniformly random crops (with optional horizontal/vertical flips) of
+    images at least ``patch`` px on each side."""
     out = []
     while len(out) < count:
         _, img = images[int(gen.integers(len(images)))]
-        if img.shape[0] < patch or img.shape[1] < patch:
-            warnings.warn(f"skipping image smaller than patch size {patch}")
-            images = [kv for kv in images if kv[1].shape[0] >= patch and kv[1].shape[1] >= patch]
-            if not images:
-                raise ValueError("no image is large enough for the patch size")
-            continue
         r = int(gen.integers(img.shape[0] - patch + 1))
         c = int(gen.integers(img.shape[1] - patch + 1))
         crop = img[r : r + patch, c : c + patch].copy()
@@ -255,7 +257,7 @@ def _fit(images: list, flat: dict, cfg: TrainConfig, unflatten, val_input, patch
     one validation crop, ``patch_loss(model, patch, gen)`` returns one patch's
     loss and flat gradients, and ``evaluate(model, clean, inp)`` one
     validation PSNR. Returns (best-validation model, log rows)."""
-    train, val = split_dataset(images)
+    train, val = split_dataset(images, cfg.patch_size)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     val_gen = np.random.Generator(np.random.Philox(key=cfg.seed + 1))
     val_clean = [center_crop(img, cfg.patch_size) for _, img in val]

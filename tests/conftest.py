@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -6,16 +7,22 @@ import pytest
 from demosaick import tensor_core
 from demosaick.cfa import CfaPattern
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
-def spans():
-    """The benchmark's tracer module, ``perfbench/spans.py``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def load():
+    """``load("scripts/run_joint.py")`` is the module in that file of the
+    repository, imported once per session."""
+
+    @functools.cache
+    def load_file(path):
+        spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load_file
 
 
 @pytest.fixture

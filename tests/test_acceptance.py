@@ -1,8 +1,11 @@
 """Acceptance gate: nine measured criteria, one pass/fail line each.
 
-The training criteria run the desk-scale configuration (depth 1, 8
-filters, 32x32 patches, 60 synthetic images) twice for the noise-free
-track so that bitwise determinism of saved models can be checked.
+Criteria 6, 7 and 9 run the desk-scale experiment as its scripts do
+(depth 1, 8 filters, 32x32 patches, 60 synthetic images):
+``scripts/run_pretrain.py`` once, then ``scripts/run_joint.py`` twice
+noise-free, so that criterion 9 can compare the two model files byte for
+byte, and once with ``--train-sigma 10``. Every file the scripts write
+goes to a temporary directory.
 """
 import math
 import time
@@ -11,25 +14,15 @@ import numpy as np
 import pytest
 
 from demosaick import gradcheck as gc
-from demosaick.cascade import demosaick_forward, init_schedule
-from demosaick.cfa import bilinear_demosaick, make_pattern, mosaic
+from demosaick.cascade import init_schedule
+from demosaick.cfa import make_pattern, mosaic
 from demosaick.cli import main
-from demosaick.datagen import make_dataset
-from demosaick.metrics import psnr
 from demosaick.mm_reference import (
     mm_reference_iterate,
     objective_value,
     surrogate_value,
 )
-from demosaick.modelfile import save_model
-from demosaick.resdnet import materialize_weights, project_noise, resdnet_forward
-from demosaick.training import (
-    TrainConfig,
-    center_crop,
-    pretrain_denoiser,
-    split_dataset,
-    train_joint,
-)
+from demosaick.resdnet import materialize_weights, project_noise
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -43,49 +36,38 @@ def rng(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# shared desk-scale training runs (module scoped, each executed once)
+# the desk-scale experiment scripts (module scoped, each run once)
 
 
 @pytest.fixture(scope="module")
-def dataset():
-    return make_dataset(60, seed=7)
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("experiment")
 
 
-PRETRAIN_CFG = TrainConfig(
-    phase="pretrain", patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
-    epochs=4, steps_per_epoch=100, depth=1, num_filters=8, seed=3,
-)
-
-JOINT_CFG = TrainConfig(
-    phase="joint", patch_size=32, batch_size=4, lr=1e-2, lr_decay_every=3,
-    epochs=6, steps_per_epoch=150, depth=1, num_filters=8, seed=5,
-    steps=5, sigma_max=15.0, sigma_min=1.0, train_sigma=0.0,
-)
+def _run(load, script: str, workdir, name: str, *args: str):
+    """Run ``scripts/<script>.py`` with its model file and log in ``workdir``;
+    returns the model file's path and what the script measured."""
+    out = workdir / f"{name}.rdnc"
+    measured = load(f"scripts/{script}.py").main(
+        [*args, "--out", str(out), "--log", str(workdir / f"{name}_log.csv")])
+    return out, measured
 
 
 @pytest.fixture(scope="module")
-def pretrained(dataset):
-    start = time.perf_counter()
-    params, _ = pretrain_denoiser(dataset, PRETRAIN_CFG)
-    return params, time.perf_counter() - start
+def pretrained(load, workdir):
+    return _run(load, "run_pretrain", workdir, "denoiser")
 
 
 @pytest.fixture(scope="module")
-def joint_clean_runs(dataset, pretrained):
-    params, _ = pretrained
-    start = time.perf_counter()
-    first, _ = train_joint(dataset, params, JOINT_CFG)
-    second, _ = train_joint(dataset, params, JOINT_CFG)
-    return first, second, time.perf_counter() - start
+def joint_clean_runs(load, workdir, pretrained):
+    init = ("--init", str(pretrained[0]))
+    return [_run(load, "run_joint", workdir, f"clean{i}", *init) for i in (1, 2)]
 
 
 @pytest.fixture(scope="module")
-def joint_noisy_run(dataset, pretrained):
-    params, _ = pretrained
-    cfg = TrainConfig(**{**JOINT_CFG.__dict__, "train_sigma": 10.0})
-    start = time.perf_counter()
-    trained, _ = train_joint(dataset, params, cfg)
-    return trained, time.perf_counter() - start
+def joint_noisy_run(load, workdir, pretrained):
+    return _run(load, "run_joint", workdir, "noisy", "--init", str(pretrained[0]),
+                "--train-sigma", "10")
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +187,21 @@ def test_criterion_5_schedule_reproduction():
     report(5, "schedule reproduction", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
-def test_criterion_6_desk_scale_pretraining(dataset, pretrained):
-    params, elapsed = pretrained
-    _, val = split_dataset(dataset)
-    gen = rng(99)
-    noisy_db, denoised_db = [], []
-    for _, img in val:
-        patch = center_crop(img, 32)
-        noisy = patch + 15.0 * gen.standard_normal(patch.shape)
-        den, _ = resdnet_forward(noisy, 15.0, params)
-        noisy_db.append(psnr(patch, np.clip(noisy, 0, 255)))
-        denoised_db.append(psnr(patch, den))
-    gain = float(np.mean(denoised_db) - np.mean(noisy_db))
+def test_criterion_6_desk_scale_pretraining(pretrained):
+    measured = pretrained[1]
+    gain, elapsed = measured["gain_db"], measured["train_s"]
     report(6, "desk-scale pretraining", gain >= 1.0 and elapsed < 900.0,
            f"denoising gain {gain:+.2f} dB at sigma 15, {elapsed:.0f}s")
 
 
-def _joint_margin(trained, val, sigma: float, eval_seed: int) -> float:
-    pattern = make_pattern("bayer_rggb")
-    gen = rng(eval_seed)
-    bil, casc = [], []
-    for _, img in val:
-        patch = center_crop(img, 32)
-        noisy = patch + sigma * gen.standard_normal(patch.shape) if sigma > 0 else patch
-        obs = mosaic(noisy, pattern, sigma=sigma)
-        bil.append(psnr(patch, bilinear_demosaick(obs)))
-        est, _ = demosaick_forward(obs, trained)
-        casc.append(psnr(patch, est))
-    return float(np.mean(casc) - np.mean(bil))
-
-
-def test_criterion_7_desk_scale_joint(dataset, joint_clean_runs, joint_noisy_run):
-    clean_model, _, clean_elapsed = joint_clean_runs
-    noisy_model, noisy_elapsed = joint_noisy_run
-    _, val = split_dataset(dataset)
-    clean_margin = _joint_margin(clean_model, val, 0.0, eval_seed=98)
-    noisy_margin = _joint_margin(noisy_model, val, 10.0, eval_seed=1234)
-    total = clean_elapsed / 2 + noisy_elapsed
-    ok = clean_margin >= 1.0 and noisy_margin >= 2.0 and total < 3600.0
+def test_criterion_7_desk_scale_joint(joint_clean_runs, joint_noisy_run):
+    (_, first), (_, second) = joint_clean_runs
+    noisy = joint_noisy_run[1]
+    total = (first["train_s"] + second["train_s"]) / 2 + noisy["train_s"]
+    ok = first["margin_db"] >= 1.0 and noisy["margin_db"] >= 2.0 and total < 3600.0
     report(7, "desk-scale joint training", ok,
-           f"vs bilinear {clean_margin:+.2f} dB noise-free, "
-           f"{noisy_margin:+.2f} dB at sigma 10, {total:.0f}s")
+           f"vs bilinear {first['margin_db']:+.2f} dB noise-free, "
+           f"{noisy['margin_db']:+.2f} dB at sigma 10, {total:.0f}s")
 
 
 def test_criterion_8_parameter_audit(capsys):
@@ -259,11 +215,8 @@ def test_criterion_8_parameter_audit(capsys):
     report(8, "parameter audit", ok, f"breakdown total {total} vs 380356")
 
 
-def test_criterion_9_determinism(joint_clean_runs, tmp_path):
-    first, second, _ = joint_clean_runs
-    a, b = tmp_path / "run1.rdnc", tmp_path / "run2.rdnc"
-    save_model(first, a)
-    save_model(second, b)
-    identical = a.read_bytes() == b.read_bytes()
+def test_criterion_9_determinism(joint_clean_runs):
+    (first, _), (second, _) = joint_clean_runs
+    identical = first.read_bytes() == second.read_bytes()
     report(9, "determinism", identical,
            f"model files byte-identical: {identical}")

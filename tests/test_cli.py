@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demosaick import gradcheck as gc
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.cfa import make_pattern, mosaic
 from demosaick.cli import _read_observation, main
@@ -526,3 +527,14 @@ class TestMiscCommands:
     def test_non_positive_size_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 128 - 2, 0), (2 ** 128 - 1, 2)])
+    def test_gradcheck_seed_range(self, seed, code, capsys, monkeypatch):
+        """``gradcheck --seed`` takes [0, 2^128 - 2], since its models are
+        keyed with seed + 1; a seed outside is a data error naming the flag."""
+        seeds = []
+        monkeypatch.setattr(gc, "run_all", lambda seed: seeds.append(seed) or {})
+        assert main(["gradcheck", "--seed", str(seed)]) == code
+        assert seeds == ([seed] if code == 0 else [])
+        if code:
+            assert "--seed" in capsys.readouterr().err

@@ -95,27 +95,27 @@ class TestAdam:
 class TestDataPipeline:
     def test_split_ratio(self):
         items = [(f"im{i:02d}", np.zeros((8, 8, 3))) for i in range(10)]
-        train, val = split_dataset(items)
+        train, val = split_dataset(items, 8)
         assert len(train) == 8 and len(val) == 2
         assert [n for n, _ in val] == ["im08", "im09"]
 
     def test_split_sorted_by_name(self):
         items = [("b", np.zeros((4, 4, 3))), ("a", np.zeros((4, 4, 3))),
                  ("c", np.zeros((4, 4, 3)))]
-        train, val = split_dataset(items)
+        train, val = split_dataset(items, 4)
         assert [n for n, _ in train] == ["a", "b"]
         assert [n for n, _ in val] == ["c"]
 
     def test_split_empty(self):
         with pytest.raises(ValueError):
-            split_dataset([])
+            split_dataset([], 1)
 
     def test_one_image_dataset_is_rejected(self, tmp_path, capsys):
         """One image leaves nothing to train on once one is held out to
         validate: the split says so, and so does ``pretrain --data``."""
         with pytest.raises(ValueError, match="one to train on and one to validate on"):
-            split_dataset([("a", np.zeros((4, 4, 3)))])
-        write_image(tmp_path / "only.ppm", make_dataset(1, seed=1, height=16, width=16)[0][1])
+            split_dataset([("a", np.zeros((4, 4, 3)))], 4)
+        write_image(tmp_path / "only.ppm", make_dataset(1, seed=1, height=32, width=32)[0][1])
         assert main(["pretrain", "--data", str(tmp_path)]) == 2
         assert "one to train on and one to validate on" in capsys.readouterr().err
 
@@ -127,15 +127,28 @@ class TestDataPipeline:
         assert all(p.shape == (16, 16, 3) for p in a)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_sample_skips_small_images(self):
-        images = [("small", np.zeros((4, 4, 3))), ("big", np.ones((32, 32, 3)))]
-        with pytest.warns(UserWarning):
-            patches = sample_patches(images, 8, 16, rng(6))
-        assert all(np.all(p == 1.0) for p in patches)
+    def test_split_drops_small_images(self):
+        items = [("big1", np.ones((32, 16, 3))), ("small", np.zeros((15, 32, 3))),
+                 ("big0", np.ones((16, 16, 3))), ("tiny", np.zeros((4, 4, 3)))]
+        with pytest.warns(UserWarning, match="2 image.* smaller than the 16x16 patch: small, tiny"):
+            train, val = split_dataset(items, 16)
+        assert [n for n, _ in train] == ["big0"] and [n for n, _ in val] == ["big1"]
 
-    def test_sample_all_too_small(self):
-        with pytest.raises(ValueError), pytest.warns(UserWarning):
-            sample_patches([("s", np.zeros((4, 4, 3)))], 2, 16, rng(7))
+    def test_split_all_too_small(self):
+        items = [("a", np.zeros((4, 4, 3))), ("b", np.zeros((40, 40, 3)))]
+        with pytest.raises(ValueError, match="two images of at least 16x16 px.*got 1"), \
+                pytest.warns(UserWarning, match="smaller than the 16x16 patch: a"):
+            split_dataset(items, 16)
+
+    def test_split_never_validates_on_a_small_image(self):
+        """An image smaller than the patch, last by name, is not held out:
+        its centre crop would be smaller than the patch."""
+        items = [*make_dataset(4, seed=1, height=40, width=40),
+                 ("zz.ppm", make_dataset(1, seed=2, height=20, width=20)[0][1])]
+        with pytest.warns(UserWarning, match="zz.ppm"):
+            train, val = split_dataset(items, 32)
+        assert [n for n, _ in train] == [n for n, _ in items[:3]]
+        assert [n for n, _ in val] == [items[3][0]]
 
     def test_center_crop(self):
         img = np.arange(36, dtype=float).reshape(6, 6, 1)

@@ -11,7 +11,7 @@ from demosaick.cfa import make_pattern, mosaic
 from demosaick.resdnet import init_resdnet
 
 
-def test_step_keeps_prelu_inputs_and_tail_input_only(spans):
+def test_step_keeps_prelu_inputs_and_tail_input_only(load):
     D, F, K, H, W = 2, 8, 3, 16, 16
     w, sigmas = init_schedule(K, 15.0, 1.0)
     cp = CascadeParams(init_resdnet(D, seed=0, num_filters=F), w, sigmas)
@@ -24,7 +24,8 @@ def test_step_keeps_prelu_inputs_and_tail_input_only(spans):
     # the K + 2 states, the observation, and per step the denoiser's
     # input and its residual
     three_channel = ((K + 2) + 1 + 2 * K) * 3 * H * W * 8
-    assert spans.retained_bytes(traj) == f_channel + three_channel + y.pattern.cell.nbytes
+    retained = load("perfbench/spans.py").retained_bytes(traj)
+    assert retained == f_channel + three_channel + y.pattern.cell.nbytes
 
 
 def _peak_bytes(run) -> int:
@@ -45,7 +46,7 @@ def _inference_peak(depth: int, num_filters: int, y) -> int:
     return _peak_bytes(lambda: demosaick(y, cp))
 
 
-def test_inference_holds_one_step(spans):
+def test_inference_holds_one_step():
     """The peak of a K-step ``demosaick`` stays within half a step's cache
     of a one-step cascade's peak, one step's working set; a cache kept
     across steps adds a whole one per step. Nor does it grow with depth:
