@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -876,34 +877,37 @@ def test_row_bands_allocate_nothing_more(cpus):
 
 def test_col2im_frees_its_buffers_before_it_needs_no_more(cpus):
     """col2im drops the widened input once its GEMM has run, and its (k*k*C,
-    L) buffer once the adds have run. So a 64 -> 64 conv_transpose2d at
-    64x64 peaks during that GEMM, at the buffer, the widened input and the
-    filter matrix (22.5 MB; 28.8 MB while both lived through the fold),
-    above the buffer and grid of the adds; conv2d_backward holds its weight
-    gradient too. At 1 and 2 CPUs, up to a few Python objects."""
+    L) buffer once the adds have run, at every size. So a 64 -> 64
+    conv_transpose2d at 64x64 peaks during that GEMM, at the buffer, the
+    widened input and the filter matrix (22.5 MB; 28.8 MB while both lived
+    through the fold), above the buffer and grid of the adds; conv2d_backward
+    holds its weight gradient too. A desk-scale layer (8 filters, 32x32)
+    frees them as early. At 1 and 2 CPUs, up to a few Python objects."""
     gen = rng(27)
-    x, y = gen.normal(size=(64, 64, 64)), gen.normal(size=(64, 64, 64))
-    fb = FilterBank(gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
-    reach = 2 * 67  # the largest patch offset on the 66-px padded width
-    L = 64 * 66 + reach
-    col2im, grid = 576 * L * 8, (64 * L + reach) * 8
-    widened, filters = 64 * 66 * 64 * 8, 576 * 64 * 8
-    peak = max(col2im + widened + filters, col2im + grid)
-    slack = 16 * 1024
-    gw = filters  # the weight gradient has the filter matrix's size
-    calls = {
-        "conv_transpose2d": (lambda: conv_transpose2d(y, fb), peak),
-        "conv2d_backward": (lambda: conv2d_backward(y, x, fb), peak + gw),
-        "conv2d_backward_prelu": (lambda: conv2d_backward(y, x, fb, slopes=_slopes(64)),
-                                  peak + gw),
-    }
-    for call, _ in calls.values():  # start the pool and the interned numpy state
-        cpus(2)
-        call()
-    for n in (1, 2):
-        cpus(n)
-        for name, (call, bound) in calls.items():
-            assert _traced_peak(call) <= bound + slack, (n, name)
+    for H, W, C in ((64, 64, 64), (32, 32, 8)):
+        x, y = gen.normal(size=(H, W, C)), gen.normal(size=(H, W, C))
+        fb = FilterBank(gen.normal(size=(C, C, 3, 3)), np.zeros(C))
+        Wp = W + 2  # the padded width
+        reach = 2 * (Wp + 1)  # the largest patch offset
+        L = H * Wp + reach
+        col2im, grid = 9 * C * L * 8, (C * L + reach) * 8
+        widened, filters = H * Wp * C * 8, 9 * C * C * 8
+        peak = max(col2im + widened + filters, col2im + grid)
+        slack = 16 * 1024
+        gw = filters  # the weight gradient has the filter matrix's size
+        calls = {
+            "conv_transpose2d": (lambda: conv_transpose2d(y, fb), peak),
+            "conv2d_backward": (lambda: conv2d_backward(y, x, fb), peak + gw),
+            "conv2d_backward_prelu": (lambda: conv2d_backward(y, x, fb, slopes=_slopes(C)),
+                                      peak + gw),
+        }
+        for call, _ in calls.values():  # start the pool and the interned numpy state
+            cpus(2)
+            call()
+        for n in (1, 2):
+            cpus(n)
+            for name, (call, bound) in calls.items():
+                assert _traced_peak(call) <= bound + slack, (C, n, name)
 
 
 def test_desk_scale_call_starts_no_thread(cpus, monkeypatch):
@@ -977,6 +981,86 @@ def test_import_sets_one_blas_thread():
             f"lib = ctypes.CDLL({str(libs[0])!r})\n"
             "print(lib.scipy_openblas_get_num_threads64_())")
     assert _run_with_blas_threads(code, 2) == "1"
+
+
+_STEADY_FAULTS = """
+import resource
+import numpy as np
+from demosaick import tensor_core
+from demosaick.resdnet import init_resdnet, resdnet_backward, resdnet_forward
+from demosaick.tensor_core import FilterBank, conv2d
+
+tensor_core._cpu_count = lambda: 2  # one band thread, on any host
+gen = np.random.Generator(np.random.Philox(key=31))
+params = init_resdnet(1, 0, 8)
+x, g = gen.uniform(0, 255, size=(32, 32, 3)), gen.normal(size=(32, 32, 3))
+h = gen.normal(size=(64, 80, 64))
+fb = FilterBank(0.05 * gen.normal(size=(64, 64, 3, 3)), np.zeros(64))
+slopes = np.full(64, 0.25)
+
+
+def desk():
+    resdnet_backward(g, resdnet_forward(x, 10.0, params)[1], params)
+
+
+def paper():
+    conv2d(h, fb, slopes=slopes)
+
+
+def faults_per_call(fn, warm, calls):
+    for _ in range(warm):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+print(faults_per_call(desk, 5, 200), faults_per_call(paper, 3, 20))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_steady_state_convolutions_fault_in_no_pages():
+    """With the package imported, freed convolution buffers stay mapped, so
+    a warmed-up loop reuses pages it already faulted in: a desk-scale
+    denoiser forward and backward pass (D=1, F=8, 32x32) takes under one
+    minor fault (about 330 while glibc trimmed its heap), and a
+    paper-size 64 -> 64 conv2d through a PReLU (64x80) under ten (about
+    1,500)."""
+    src = str(Path(tensor_core.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _STEADY_FAULTS],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    desk, paper = map(float, out.stdout.split())
+    assert desk < 1 and paper < 10, (desk, paper)
+
+
+class _FakeLibc:
+    """A C library whose ``mallopt`` records each call and returns
+    ``accepts(param)``."""
+
+    def __init__(self, accepts):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return accepts(param)
+
+        self.mallopt = mallopt
+
+
+def test_heap_setter_sets_the_trim_threshold_only_after_the_mmap_threshold():
+    """``M_TRIM_THRESHOLD`` is set to "never" only once ``M_MMAP_THRESHOLD``
+    took its fixed 32 MiB: alone it would switch off glibc's dynamic mmap
+    threshold at 128 KiB. A library without ``mallopt`` is left as it is."""
+    glibc = _FakeLibc(lambda param: 1)
+    tensor_core._keep_freed_heap(glibc)
+    assert glibc.calls == [(-3, 32 << 20), (-1, -1)]
+    refuses = _FakeLibc(lambda param: 0 if param == -3 else 1)
+    tensor_core._keep_freed_heap(refuses)
+    assert refuses.calls == [(-3, 32 << 20)]
+    tensor_core._keep_freed_heap(object())
 
 
 def test_narrow_deep_weight_gradient_is_bitwise_at_any_blas_thread_count():
