@@ -18,7 +18,7 @@ from .cascade import CascadeParams, demosaick
 from .cfa import PATTERN_NAMES, MosaicObservation, bilinear_demosaick, make_pattern, mosaic
 from .config import check_fields, parse_config_file
 from .metrics import linrgb_to_srgb, psnr
-from .modelfile import load_model, save_model
+from .modelfile import load_denoiser, load_model, save_model
 from .noise import NoiseSpec, add_noise
 from .pnm import FormatError, read_image, write_image
 from .resdnet import ResDNetParams, denoise, init_resdnet, parameter_breakdown
@@ -204,8 +204,7 @@ def cmd_denoise(args) -> int:
     if not 0.0 <= args.sigma < np.inf:
         raise ValueError(f"--sigma must be finite and non-negative, got {args.sigma}")
     image = read_image(args.input)
-    params = load_model(args.model)
-    den = params.denoiser if isinstance(params, CascadeParams) else params
+    den = load_denoiser(args.model)
     return _write_result(args, denoise(image, args.sigma, den), "denoised.ppm")
 
 
@@ -223,9 +222,7 @@ def cmd_train(args) -> int:
     cfg = _config(args)[0]
     images = load_dataset(args.data)
     if args.model:
-        init = load_model(args.model)
-        if isinstance(init, CascadeParams):
-            init = init.denoiser
+        init = load_denoiser(args.model)
     else:
         init = init_resdnet(cfg.depth, cfg.seed, cfg.num_filters)
     params, _ = train_joint(images, init, cfg)
@@ -236,16 +233,17 @@ def cmd_train(args) -> int:
 
 
 def _eval_pairs(directory: Path) -> list:
+    names = sorted(directory.iterdir())
+    inputs = {}  # base -> the first-sorted name that starts with "<base>_input."
+    for path in reversed(names):
+        parts = path.name.split("_input.")
+        inputs.update(("_input.".join(parts[:i]), path) for i in range(1, len(parts)))
     pairs = []
-    for truth in sorted(directory.iterdir()):
-        stem = truth.name
-        if "_truth." not in stem:
-            continue
-        base = stem.split("_truth.")[0]
-        candidates = [p for p in directory.iterdir() if p.name.startswith(base + "_input.")]
-        if not candidates:
+    for truth in (path for path in names if "_truth." in path.name):
+        base = truth.name.split("_truth.")[0]
+        if base not in inputs:
             raise FileNotFoundError(f"no observation found for {truth.name}")
-        pairs.append((base, truth, sorted(candidates)[0]))
+        pairs.append((base, truth, inputs[base]))
     if not pairs:
         raise FileNotFoundError(f"no *_truth.* files in {directory}")
     return pairs

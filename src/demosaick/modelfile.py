@@ -128,3 +128,10 @@ def load_model(path):
     if not expected["head.u"][0]:
         raise ModelFormatError("array 'head.u' has no filters")
     return (CascadeParams if steps else ResDNetParams).from_flat(arrays)
+
+
+def load_denoiser(path) -> ResDNetParams:
+    """Load the denoiser of a model file: a denoiser file's own, or the
+    shared denoiser of a cascade file."""
+    params = load_model(path)
+    return params.denoiser if isinstance(params, CascadeParams) else params

@@ -242,8 +242,7 @@ def init_resdnet(depth: int, seed: int, num_filters: int = 64) -> ResDNetParams:
         layer, _, kind = name.rpartition(".")
         if kind == "u":
             u = gen.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape)
-            w0 = u - u.mean(axis=(1, 2, 3), keepdims=True)
-            flat[name], flat[f"{layer}.s"] = u, np.sqrt((w0 ** 2).sum(axis=(1, 2, 3)))
+            flat[name], flat[f"{layer}.s"] = u, _centre(u)[1].ravel()
         elif kind != "s":  # each layer's scales are set with its filters
             flat[name] = np.full(shape, 0.25 if kind == "kappa" else 0.0)
     return ResDNetParams.from_flat(flat)

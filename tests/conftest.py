@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def load():
-    """``load("scripts/run_joint.py")`` is the module in that file of the
+    """``load("scripts/experiment.py")`` is the module in that file of the
     repository, imported once per session."""
 
     @functools.cache

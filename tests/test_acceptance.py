@@ -1,11 +1,11 @@
 """Acceptance gate: nine measured criteria, one pass/fail line each.
 
-Criteria 6, 7 and 9 run the desk-scale experiment as its scripts do
+Criteria 6, 7 and 9 run the desk-scale experiment as its script does
 (depth 1, 8 filters, 32x32 patches, 60 synthetic images):
-``scripts/run_pretrain.py`` once, then ``scripts/run_joint.py`` twice
-noise-free, so that criterion 9 can compare the two model files byte for
-byte, and once with ``--train-sigma 10``. Every file the scripts write
-goes to a temporary directory.
+``scripts/experiment.py pretrain`` once, then ``scripts/experiment.py
+joint`` twice noise-free, so that criterion 9 can compare the two model
+files byte for byte, and once with ``--train-sigma 10``. Every file the
+script writes goes to a temporary directory.
 """
 import math
 import time
@@ -36,7 +36,7 @@ def rng(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# the desk-scale experiment scripts (module scoped, each run once)
+# the desk-scale experiment script's runs (module scoped, each run once)
 
 
 @pytest.fixture(scope="module")
@@ -44,29 +44,29 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("experiment")
 
 
-def _run(load, script: str, workdir, name: str, *args: str):
-    """Run ``scripts/<script>.py`` with its model file and log in ``workdir``;
-    returns the model file's path and what the script measured."""
+def _run(load, phase: str, workdir, name: str, *args: str):
+    """Run ``scripts/experiment.py <phase>`` with its model file and log in
+    ``workdir``; returns the model file's path and what the run measured."""
     out = workdir / f"{name}.rdnc"
-    measured = load(f"scripts/{script}.py").main(
-        [*args, "--out", str(out), "--log", str(workdir / f"{name}_log.csv")])
+    measured = load("scripts/experiment.py").main(
+        [phase, *args, "--out", str(out), "--log", str(workdir / f"{name}_log.csv")])
     return out, measured
 
 
 @pytest.fixture(scope="module")
 def pretrained(load, workdir):
-    return _run(load, "run_pretrain", workdir, "denoiser")
+    return _run(load, "pretrain", workdir, "denoiser")
 
 
 @pytest.fixture(scope="module")
 def joint_clean_runs(load, workdir, pretrained):
     init = ("--init", str(pretrained[0]))
-    return [_run(load, "run_joint", workdir, f"clean{i}", *init) for i in (1, 2)]
+    return [_run(load, "joint", workdir, f"clean{i}", *init) for i in (1, 2)]
 
 
 @pytest.fixture(scope="module")
 def joint_noisy_run(load, workdir, pretrained):
-    return _run(load, "run_joint", workdir, "noisy", "--init", str(pretrained[0]),
+    return _run(load, "joint", workdir, "noisy", "--init", str(pretrained[0]),
                 "--train-sigma", "10")
 
 

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from demosaick import gradcheck as gc
 from demosaick.cascade import CascadeParams, init_schedule
 from demosaick.cfa import make_pattern, mosaic
-from demosaick.cli import _read_observation, main
+from demosaick.cli import _eval_pairs, _read_observation, main
 from demosaick.config import parse_config_file
 from demosaick.datagen import make_dataset
 from demosaick.modelfile import load_model, save_model
@@ -391,6 +393,23 @@ class TestEvalCommand:
         np.save(d / "x_input.npy", np.full((6, 6, 3), 1e200))
         assert main(["eval", str(d), "--method", "bilinear"]) == 3
         assert "mean squared error overflows" in capsys.readouterr().err
+
+    def test_pairs_come_from_one_listing(self, tmp_path, monkeypatch):
+        """Each truth file pairs with the first-sorted ``<base>_input.*``
+        name of one directory listing, whatever the number of pairs."""
+        d = tmp_path / "pairs"
+        d.mkdir()
+        for name in ("a_truth.ppm", "a_input.png", "a_input.npy", "a_input.x_truth.ppm",
+                     "a_input.x_input.npy", "b_truth.ppm", "b_input.npy", "c_input.npy"):
+            (d / name).touch()
+        listings, iterdir = [], Path.iterdir
+        monkeypatch.setattr(Path, "iterdir", lambda path: listings.append(path) or iterdir(path))
+        assert [(base, truth.name, obs.name) for base, truth, obs in _eval_pairs(d)] == [
+            ("a_input.x", "a_input.x_truth.ppm", "a_input.x_input.npy"),
+            ("a", "a_truth.ppm", "a_input.npy"),
+            ("b", "b_truth.ppm", "b_input.npy"),
+        ]
+        assert listings == [d]
 
     def test_missing_observation(self, tmp_path):
         d = tmp_path / "half"
